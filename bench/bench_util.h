@@ -80,8 +80,8 @@ KeywordSet AccumulatedQueryKeywords(const Dataset& dataset, int count);
 /// The constructor opens the file and writes the header fields; the
 /// caller adds its payload through json() (which is positioned inside
 /// the root object); Close() appends the metrics-registry snapshot
-/// (counters, gauges, per-phase latency histograms — empty sections
-/// under SOI_OBSERVABILITY=OFF) and closes the document.
+/// (counters, gauges, per-phase latency histograms) and closes the
+/// document.
 class BenchJsonFile {
  public:
   BenchJsonFile(const std::string& benchmark, const BenchOptions& options,

@@ -53,13 +53,11 @@ struct EngineRun {
   double speedup_vs_1thread = 0.0;
   double cache_hit_rate = 0.0;
   QueryEngine::CacheStats cache;
-  // Registry activity of the timed batch only (empty when observability
-  // is compiled out).
+  // Registry activity of the timed batch only.
   obs::MetricsSnapshot metrics;
   // Per-query wall-clock of the best timed pass, sorted ascending, from
-  // the flight recorder (empty when observability is compiled out).
-  // Coalesced duplicates are excluded: they piggyback on a leader and
-  // would contribute fictitious ~0s samples.
+  // the flight recorder. Coalesced duplicates are excluded: they
+  // piggyback on a leader and would contribute fictitious ~0s samples.
   std::vector<double> latencies;
 };
 
@@ -169,26 +167,22 @@ CityRun MeasureCity(const bench_util::CityContext& city,
       obs::MetricsSnapshot before = obs::Registry::Global().Snapshot();
       // Query ids are monotone, so records of this pass are exactly those
       // with id > the recorder's watermark taken here.
-      uint64_t flight_watermark = 0;
-      if (obs::kEnabled) {
-        flight_watermark = obs::FlightRecorder::Global().last_query_id();
-      }
+      uint64_t flight_watermark =
+          obs::FlightRecorder::Global().last_query_id();
       Stopwatch timer;
       std::vector<SoiResult> results = engine.RunBatch(batch);
       double seconds = timer.ElapsedSeconds();
       obs::MetricsSnapshot delta =
           obs::Registry::Global().Snapshot().Since(before);
       std::vector<double> latencies;
-      if (obs::kEnabled) {
-        obs::FlightRecorder::Snapshot flights =
-            obs::FlightRecorder::Global().Snap();
-        for (const obs::QueryRecord& record : flights.recent) {
-          if (record.query_id > flight_watermark && !record.coalesced) {
-            latencies.push_back(record.total_seconds);
-          }
+      obs::FlightRecorder::Snapshot flights =
+          obs::FlightRecorder::Global().Snap();
+      for (const obs::QueryRecord& record : flights.recent) {
+        if (record.query_id > flight_watermark && !record.coalesced) {
+          latencies.push_back(record.total_seconds);
         }
-        std::sort(latencies.begin(), latencies.end());
       }
+      std::sort(latencies.begin(), latencies.end());
       if (trace_this) obs::TraceRecorder::Global().Stop();
       if (reference.empty()) {
         reference = std::move(results);  // the 1-thread rep 0 pass
@@ -310,9 +304,9 @@ void WriteRunJson(JsonWriter* json, const EngineRun& run) {
   json->KeyValue("cache_evictions", run.cache.evictions);
 
   // Per-query latency distribution of the best pass, from the flight
-  // recorder (absent under SOI_OBSERVABILITY=OFF). Exact percentiles
-  // over all executed (non-coalesced) queries of the batch — small
-  // samples, so no histogram-bucket interpolation error.
+  // recorder. Exact percentiles over all executed (non-coalesced)
+  // queries of the batch — small samples, so no histogram-bucket
+  // interpolation error.
   if (!run.latencies.empty()) {
     json->Key("latency");
     json->BeginObject();
@@ -374,7 +368,6 @@ void WriteJson(const std::vector<CityRun>& cities,
   bench_util::BenchJsonFile out("soi_throughput", options, path);
   JsonWriter* json = out.json();
   json->KeyValue("batch_size", static_cast<int64_t>(batch_size));
-  json->KeyValue("observability", obs::kEnabled);
   json->KeyValue("smoke", smoke);
   json->KeyValue("hardware_threads",
                  static_cast<int64_t>(hardware_threads));
@@ -423,9 +416,7 @@ int Run(int argc, char** argv) {
   // Live introspection: SIGUSR1 snapshots the metrics + flight recorder
   // of a running (possibly long, full-scale) bench. Best-effort — the
   // bench must run on platforms without the hook.
-  if (obs::kEnabled) {
-    (void)obs::InstallSignalDump("SOI_STATE_throughput.json");
-  }
+  (void)obs::InstallSignalDump("SOI_STATE_throughput.json");
   auto cities = bench_util::LoadCities(options);
   const std::vector<int> thread_counts =
       smoke ? std::vector<int>{1, 2} : std::vector<int>{1, 2, 4, 8};
@@ -464,7 +455,7 @@ int Run(int argc, char** argv) {
                   "-"});
     table.Print(&std::cout);
 
-    if (obs::kEnabled && !run.runs.empty()) {
+    if (!run.runs.empty()) {
       // Per-phase breakdown of the 1-thread timed batch (thread counts
       // only shift work across cores; the per-phase shape is the same).
       const EngineRun& first = run.runs.front();
@@ -510,14 +501,12 @@ int Run(int argc, char** argv) {
                  "recorded baseline in\nbench/throughput_baseline.h is "
                  "stale — update it deliberately, with numbers).\n";
   }
-  if (obs::kEnabled) {
-    Status trace_status = obs::TraceRecorder::Global().WriteChromeTrace(
-        "TRACE_soi_throughput.json");
-    SOI_CHECK(trace_status.ok()) << trace_status.ToString();
-    std::cout << "Wrote TRACE_soi_throughput.json ("
-              << obs::TraceRecorder::Global().Collect().size()
-              << " spans; open in chrome://tracing or ui.perfetto.dev).\n";
-  }
+  Status trace_status = obs::TraceRecorder::Global().WriteChromeTrace(
+      "TRACE_soi_throughput.json");
+  SOI_CHECK(trace_status.ok()) << trace_status.ToString();
+  std::cout << "Wrote TRACE_soi_throughput.json ("
+            << obs::TraceRecorder::Global().Collect().size()
+            << " spans; open in chrome://tracing or ui.perfetto.dev).\n";
   return gates_pass ? 0 : 1;
 }
 

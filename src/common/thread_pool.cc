@@ -43,10 +43,7 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::Submit(std::function<void()> task) {
-#if SOI_OBS_ENABLED
   // Wrap to measure queue wait (submit -> dequeue) and task run time.
-  // The wrapper exists only in instrumented builds, so the compiled-out
-  // pool submits the caller's closure untouched.
   Stopwatch queued;
   task = [task = std::move(task), queued]() {
     SOI_OBS_HISTOGRAM_OBSERVE("soi.pool.queue_wait_seconds",
@@ -57,7 +54,6 @@ void ThreadPool::Submit(std::function<void()> task) {
                               running.ElapsedSeconds());
   };
   SOI_OBS_COUNTER_ADD("soi.pool.tasks", 1);
-#endif
   {
     MutexLock lock(mutex_);
     queue_.push_back(std::move(task));

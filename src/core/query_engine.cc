@@ -57,8 +57,6 @@ class InflightGuard {
 };
 
 // Flight-recorder identity fields of one query (and its fresh id).
-// Callers gate on obs::kEnabled: under SOI_OBSERVABILITY=OFF the id
-// macro yields 0 and nothing is recorded.
 obs::QueryRecord MakeQueryRecord(const SoiQuery& query) {
   obs::QueryRecord record;
   record.query_id = SOI_OBS_NEXT_QUERY_ID();
@@ -414,23 +412,18 @@ Result<SoiResult> QueryEngine::TryRunCounted(const SoiQuery& query,
   // success, invalid, shed, expired, faulted — leaves one QueryRecord
   // in the flight recorder, and successful queries additionally stamp
   // their id as the soi.engine.query_seconds exemplar of their latency
-  // bucket. Under SOI_OBSERVABILITY=OFF kEnabled is constexpr false and
-  // all of this folds away.
-  obs::QueryRecord record;
-  if (obs::kEnabled) record = MakeQueryRecord(query);
+  // bucket.
+  obs::QueryRecord record = MakeQueryRecord(query);
   Stopwatch timer;
   Result<SoiResult> result =
       TryRunInternal(query, cancel, &record, preadmitted);
-  if (obs::kEnabled) {
-    record.total_seconds = timer.ElapsedSeconds();
-    record.status =
-        result.ok() ? StatusCode::kOk : result.status().code();
-    SOI_OBS_FLIGHT_RECORD(record);
-    if (result.ok()) {
-      SOI_OBS_HISTOGRAM_OBSERVE_EXEMPLAR("soi.engine.query_seconds",
-                                         record.total_seconds,
-                                         record.query_id);
-    }
+  record.total_seconds = timer.ElapsedSeconds();
+  record.status = result.ok() ? StatusCode::kOk : result.status().code();
+  SOI_OBS_FLIGHT_RECORD(record);
+  if (result.ok()) {
+    SOI_OBS_HISTOGRAM_OBSERVE_EXEMPLAR("soi.engine.query_seconds",
+                                       record.total_seconds,
+                                       record.query_id);
   }
   return result;
 }
@@ -494,8 +487,7 @@ Result<SoiResult> QueryEngine::TryRunInternal(
   if (live_view.has_value()) {
     algorithm_options.live_view = &*live_view;
   }
-  // Exemplar attribution for the per-phase latency histograms (plain
-  // data; 0 under SOI_OBSERVABILITY=OFF).
+  // Exemplar attribution for the per-phase latency histograms.
   algorithm_options.query_id = record->query_id;
   // TryTopK is Status-based, but an injected fault inside its parallel
   // refinement still unwinds as an exception; convert it here so the
@@ -504,9 +496,7 @@ Result<SoiResult> QueryEngine::TryRunInternal(
     Result<SoiResult> result =
         algorithm_.TryTopK(query, *maps, algorithm_options);
     if (!result.ok()) return CountQueryFailure(result.status());
-    if (obs::kEnabled) {
-      FillRecordFromStats(result.ValueOrDie().stats, record);
-    }
+    FillRecordFromStats(result.ValueOrDie().stats, record);
     return result;
   } catch (const CancelledError& e) {
     return CountQueryFailure(e.status());
@@ -672,18 +662,15 @@ std::vector<Result<SoiResult>> QueryEngine::TryRunBatch(
   // — marked coalesced, carrying the phase stats of the evaluation that
   // served it but no wall time of its own.
   for (size_t i = 0; i < queries.size(); ++i) {
-    if (leader[i] != static_cast<int64_t>(i)) {
-      if (obs::kEnabled) {
-        obs::QueryRecord record = MakeQueryRecord(queries[i]);
-        record.coalesced = true;
-        record.status = results[i].ok() ? StatusCode::kOk
-                                        : results[i].status().code();
-        if (results[i].ok()) {
-          FillRecordFromStats(results[i].ValueOrDie().stats, &record);
-        }
-        SOI_OBS_FLIGHT_RECORD(record);
-      }
+    if (leader[i] == static_cast<int64_t>(i)) continue;
+    obs::QueryRecord record = MakeQueryRecord(queries[i]);
+    record.coalesced = true;
+    record.status =
+        results[i].ok() ? StatusCode::kOk : results[i].status().code();
+    if (results[i].ok()) {
+      FillRecordFromStats(results[i].ValueOrDie().stats, &record);
     }
+    SOI_OBS_FLIGHT_RECORD(record);
   }
   SOI_OBS_HISTOGRAM_OBSERVE("soi.engine.batch_seconds",
                             timer.ElapsedSeconds());

@@ -223,9 +223,9 @@ class QueryEngine {
   CacheStats cache_stats() const;
 
   /// A JSON object with this engine's cache counters plus a snapshot of
-  /// the global metrics registry (counters/gauges/histograms; empty
-  /// sections under SOI_OBSERVABILITY=OFF). This is the serving-path
-  /// metrics export the bench harnesses embed in BENCH_*.json.
+  /// the global metrics registry (counters/gauges/histograms). This is
+  /// the serving-path metrics export the bench harnesses embed in
+  /// BENCH_*.json.
   std::string MetricsJson() const;
 
   int num_threads() const;
@@ -303,8 +303,7 @@ class QueryEngine {
                                   const CancellationToken& cancel,
                                   bool preadmitted);
 
-  /// TryRunCounted's body. `record` (never null; ignored when
-  /// observability is compiled out) accumulates the per-query
+  /// TryRunCounted's body. `record` (never null) accumulates the per-query
   /// flight-recorder fields the evaluation path knows — cache hit/miss
   /// and the phase stats — while the caller owns identity, total wall
   /// time, final status, and publication to the FlightRecorder.

@@ -734,8 +734,7 @@ Status Run::RefinementPhase() {
 Result<SoiResult> Run::Execute() {
   // Phase timings flow to two places: the per-run SoiQueryStats fields
   // (the public per-query view, kept for Figure 4 and the tests) and the
-  // cumulative registry histograms/spans (the fleet-wide view; compiled
-  // out under SOI_OBSERVABILITY=OFF).
+  // cumulative registry histograms/spans (the fleet-wide view).
   SOI_TRACE_SPAN("soi.query");
   Stopwatch timer;
   {

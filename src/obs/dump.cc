@@ -47,7 +47,6 @@ void WriteQueryRecordJson(const QueryRecord& record, JsonWriter* json) {
 void DumpState(JsonWriter* json) {
   json->BeginObject();
   json->KeyValue("version", int64_t{1});
-  json->KeyValue("observability_enabled", kEnabled);
 
   json->Key("metrics");
   WriteMetricsJson(Registry::Global().Snapshot(), json);

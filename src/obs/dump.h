@@ -18,7 +18,7 @@ void WriteQueryRecordJson(const QueryRecord& record, JsonWriter* json);
 /// The live introspection surface (DESIGN.md "Observability"): one JSON
 /// object capturing what the process is doing right now —
 ///
-///   {"version": 1, "observability_enabled": ...,
+///   {"version": 1,
 ///    "metrics": {counters/gauges/histograms incl. engine gauges
 ///                soi.engine.inflight / soi.cache.size /
 ///                soi.scratch.free, histogram exemplar query ids},
@@ -32,11 +32,9 @@ void WriteQueryRecordJson(const QueryRecord& record, JsonWriter* json);
 ///
 /// This is the exact component the soid serving binary mounts behind an
 /// HTTP endpoint; until then it is reachable in-process, through the
-/// soi_obs tool, and via the SIGUSR1 hook below. Under
-/// SOI_OBSERVABILITY=OFF the document keeps its shape with empty
-/// metric/recorder sections. The lock_graph section (DESIGN.md "Lock
-/// ordering & layering") is likewise empty unless the build compiled
-/// the detector in (SOI_DEADLOCK_DETECT=ON, the `deadlock` preset).
+/// soi_obs tool, and via the SIGUSR1 hook below. The lock_graph section
+/// (DESIGN.md "Lock ordering & layering") is empty unless the build
+/// compiled the detector in (SOI_DEADLOCK_DETECT=ON, the `deadlock` preset).
 void DumpState(JsonWriter* json);
 
 /// DumpState into a string.

@@ -79,12 +79,7 @@ struct QueryRecord {
 /// short critical section per query (~100ns against multi-ms queries).
 /// The top-M slowest reservoir admits behind a relaxed atomic floor:
 /// once full, queries faster than the current M-th slowest skip its
-/// mutex entirely.
-///
-/// Always armed when observability is compiled in; the SOI_OBS_FLIGHT_*
-/// macros in obs.h compile callers out under SOI_OBSERVABILITY=OFF. The
-/// class itself compiles unconditionally with an identical layout in
-/// both modes (obs compile-out contract, tests/obs_compile_out_test.cc).
+/// mutex entirely. Always armed.
 ///
 /// Thread-safe.
 class FlightRecorder {

@@ -26,8 +26,7 @@ namespace obs {
 ///
 /// Zero-count histograms are exported without the "buckets" array, and
 /// empty sections are emitted as empty objects, so the document shape is
-/// stable across build modes (an SOI_OBSERVABILITY=OFF build exports
-/// {"counters": {}, "gauges": {}, "histograms": {}}).
+/// stable before the first metric is registered.
 void WriteMetricsJson(const MetricsSnapshot& snapshot, JsonWriter* json);
 
 /// WriteMetricsJson of a snapshot as a standalone pretty-printed string.

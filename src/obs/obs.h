@@ -5,15 +5,9 @@
 /// macros write to the global metrics registry and SOI_TRACE_SPAN opens a
 /// scoped span on the global trace recorder.
 ///
-/// Compile-out contract: configuring with -DSOI_OBSERVABILITY=OFF defines
-/// SOI_OBSERVABILITY_DISABLED, every macro below expands to nothing, and
-/// instrumented code paths compile to exactly their un-instrumented form
-/// (bit-identical results, no measurable slowdown — asserted by
-/// tests/obs_determinism_test.cc against the pure sequential algorithm in
-/// both build modes). The obs classes themselves (Registry, TraceRecorder,
-/// ...) are compiled unconditionally and keep identical layouts in both
-/// modes, so a translation unit built with the define links cleanly
-/// against a library built without it (tests/obs_compile_out_test.cc).
+/// The instrumented build is the only build: every macro below is always
+/// live, and tests/obs_determinism_test.cc asserts that the instrumented
+/// engine returns results bit-identical to the pure sequential algorithm.
 ///
 /// Naming scheme (see DESIGN.md "Observability"): dot-separated
 /// `soi.<subsystem>.<what>[_seconds]`, e.g. `soi.query.filter_seconds`,
@@ -25,27 +19,8 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
-#ifdef SOI_OBSERVABILITY_DISABLED
-#define SOI_OBS_ENABLED 0
-#else
-#define SOI_OBS_ENABLED 1
-#endif
-
-namespace soi {
-namespace obs {
-
-/// True in builds with observability compiled in (the default). Prefer
-/// the macros below for instrumentation; this constant is for tests and
-/// for gating exporter output.
-inline constexpr bool kEnabled = SOI_OBS_ENABLED != 0;
-
-}  // namespace obs
-}  // namespace soi
-
 #define SOI_OBS_CONCAT_INNER_(a, b) a##b
 #define SOI_OBS_CONCAT_(a, b) SOI_OBS_CONCAT_INNER_(a, b)
-
-#if SOI_OBS_ENABLED
 
 /// Records a scoped span named `name` (a string literal) from here to the
 /// end of the enclosing block, when trace recording is active.
@@ -101,7 +76,7 @@ inline constexpr bool kEnabled = SOI_OBS_ENABLED != 0;
   } while (false)
 
 /// Draws the next process-monotone query id from the global
-/// FlightRecorder (0 under SOI_OBSERVABILITY=OFF, the "unset" id).
+/// FlightRecorder (1, 2, ...; never 0, the "unset" id).
 #define SOI_OBS_NEXT_QUERY_ID() \
   (::soi::obs::FlightRecorder::Global().NextQueryId())
 
@@ -111,32 +86,5 @@ inline constexpr bool kEnabled = SOI_OBS_ENABLED != 0;
   do {                                                        \
     ::soi::obs::FlightRecorder::Global().Record(record);      \
   } while (false)
-
-#else  // !SOI_OBS_ENABLED
-
-#define SOI_TRACE_SPAN(name) \
-  do {                       \
-  } while (false)
-#define SOI_OBS_COUNTER_ADD(name, delta) \
-  do {                                   \
-  } while (false)
-#define SOI_OBS_GAUGE_ADD(name, delta) \
-  do {                                 \
-  } while (false)
-#define SOI_OBS_GAUGE_SET(name, value) \
-  do {                                 \
-  } while (false)
-#define SOI_OBS_HISTOGRAM_OBSERVE(name, value) \
-  do {                                         \
-  } while (false)
-#define SOI_OBS_HISTOGRAM_OBSERVE_EXEMPLAR(name, value, query_id) \
-  do {                                                            \
-  } while (false)
-#define SOI_OBS_NEXT_QUERY_ID() (::std::uint64_t{0})
-#define SOI_OBS_FLIGHT_RECORD(record) \
-  do {                                \
-  } while (false)
-
-#endif  // SOI_OBS_ENABLED
 
 #endif  // SOI_OBS_OBS_H_

@@ -113,8 +113,7 @@ class TraceRecorder {
 
 /// RAII span: records one TraceEvent on the global recorder from
 /// construction to destruction, if a recording session is active at
-/// construction time. Use through SOI_TRACE_SPAN (obs.h) so the span
-/// compiles out entirely under SOI_OBSERVABILITY=OFF.
+/// construction time. Use through SOI_TRACE_SPAN (obs.h).
 class ScopedSpan {
  public:
   explicit ScopedSpan(const char* name);

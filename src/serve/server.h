@@ -81,9 +81,7 @@ class SoidServer {
  public:
   enum class State { kIdle, kServing, kDraining, kCancelling, kStopped };
 
-  /// Monotone counters mirrored into the soi.serve.* metrics; exposed
-  /// directly so tests assert behavior in SOI_OBSERVABILITY=OFF builds
-  /// too.
+  /// Monotone counters mirrored into the soi.serve.* metrics.
   struct Stats {
     int64_t accepted = 0;
     int64_t connections_rejected = 0;

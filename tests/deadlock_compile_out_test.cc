@@ -1,9 +1,7 @@
 // Guard for the SOI_DEADLOCK_DETECT=OFF path (the default build).
 //
-// Unlike obs_compile_out_test — which force-defines the disabled macro
-// in its own TU, something the obs ABI contract explicitly supports —
-// the deadlock instrumentation *changes soi::Mutex's layout* when ON, so
-// mixing modes across TUs would be an ODR violation. This test instead
+// The deadlock instrumentation *changes soi::Mutex's layout* when ON, so
+// mixing modes across TUs would be an ODR violation. This test therefore
 // builds in whatever mode the preset selected and asserts the mode's
 // contract from the outside:
 //

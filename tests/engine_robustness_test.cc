@@ -123,18 +123,14 @@ TEST(EngineRobustnessTest, ExpiredDeadlineReturnsDeadlineExceeded) {
   QueryEngine engine(instance.network, instance.grid, instance.global_index,
                      instance.segment_cells);
 
-#if SOI_OBS_ENABLED
   obs::MetricsSnapshot before = obs::Registry::Global().Snapshot();
-#endif
   CancellationToken expired = CancellationToken::WithDeadline(-1.0);
   Result<SoiResult> result = engine.TryRun(ValidQuery(), expired);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
-#if SOI_OBS_ENABLED
   obs::MetricsSnapshot delta =
       obs::Registry::Global().Snapshot().Since(before);
   EXPECT_EQ(delta.CounterOr0("soi.engine.deadline_exceeded"), 1);
-#endif
 
   // An expired deadline observed during the maps build (TryGetMaps) must
   // not leave a half-built cache entry behind.
@@ -341,9 +337,7 @@ TEST(EngineRobustnessTest, FailedMapsBuildEvictsItsCacheEntry) {
   QueryEngine engine(instance.network, instance.grid, instance.global_index,
                      instance.segment_cells);
 
-#if SOI_OBS_ENABLED
   obs::MetricsSnapshot before = obs::Registry::Global().Snapshot();
-#endif
   {
     fault::ScopedFault armed("cache.build_maps", fault::FaultPlan{});
     Result<SoiResult> result = engine.TryRun(ValidQuery());
@@ -357,14 +351,12 @@ TEST(EngineRobustnessTest, FailedMapsBuildEvictsItsCacheEntry) {
   Result<SoiResult> retry = engine.TryRun(ValidQuery());
   ASSERT_TRUE(retry.ok()) << retry.status().ToString();
   EXPECT_EQ(engine.cache_size(), 1u);
-#if SOI_OBS_ENABLED
   obs::MetricsSnapshot delta =
       obs::Registry::Global().Snapshot().Since(before);
   // Both attempts missed (the failed entry never became visible as a
   // hit), and only the successful one counts as a completed build.
   EXPECT_EQ(delta.CounterOr0("soi.cache.misses"), 2);
   EXPECT_EQ(delta.CounterOr0("soi.cache.builds"), 1);
-#endif
 }
 
 TEST(EngineRobustnessTest, RefinementFaultSurfacesAsInternal) {

@@ -112,9 +112,6 @@ TEST_F(ObsDumpTest, EmptyStateIsValidJson) {
 // together — valid JSON, populated QueryRecords with nonzero phase
 // timings, and a latency exemplar resolvable in the recorder snapshot.
 TEST_F(ObsDumpTest, ServedWorkloadProducesLinkedDump) {
-  if (!obs::kEnabled) {
-    GTEST_SKIP() << "observability compiled out";
-  }
   Instance instance;
   QueryEngineOptions options;
   options.num_threads = 2;

@@ -416,10 +416,8 @@ TEST(QueryEngineTest, BatchCoalescesDuplicatesBitIdentically) {
     ExpectIdenticalResults(got[i].ValueOrDie(), expected[i],
                            ("query=" + std::to_string(i)).c_str());
   }
-  if (obs::kEnabled) {
-    // 7 entries, 3 unique: 4 coalesced duplicates.
-    EXPECT_EQ(delta.CounterOr0("soi.engine.batch_coalesced"), 4);
-  }
+  // 7 entries, 3 unique: 4 coalesced duplicates.
+  EXPECT_EQ(delta.CounterOr0("soi.engine.batch_coalesced"), 4);
 }
 
 // Regression test for coalesced-group admission: a coalesced duplicate

@@ -12,7 +12,6 @@
 #include <bit>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -24,6 +23,7 @@
 #include "common/signal_watch.h"
 #include "core/query_engine.h"
 #include "gtest/gtest.h"
+#include "obs/metrics.h"
 #include "serve/client.h"
 #include "serve/net.h"
 #include "serve/server.h"
@@ -157,20 +157,13 @@ TEST(ServeServerTest, InvalidQueryGetsTypedErrorAndConnectionSurvives) {
 // admission with kDeadlineExceeded, before any engine work runs.
 TEST(ServeServerTest, ExpiredDeadlineShedsAtAdmissionBeforeEngineWork) {
   ServerFixture fixture;
-  // The proof that the engine never ran: its query counter. (The full
-  // metrics dump also carries soi.serve.* admission counters, which the
-  // shed itself legitimately bumps.) Returns -1 when observability is
-  // compiled out (obs-off build) and the counter does not exist.
-  auto engine_queries = [&fixture] {
-    const std::string json = fixture.engine().MetricsJson();
-    const std::string key = "\"soi.query.count\": ";
-    size_t at = json.find(key);
-    if (at == std::string::npos) return int64_t{-1};
-    return static_cast<int64_t>(std::strtoll(
-        json.c_str() + at + key.size(), nullptr, 10));
+  // The proof that the engine never ran: its query counter. (The
+  // registry also carries soi.serve.* admission counters, which the shed
+  // itself legitimately bumps.)
+  auto engine_queries = [] {
+    return obs::Registry::Global().Snapshot().CounterOr0("soi.query.count");
   };
   const int64_t queries_before = engine_queries();
-  const bool have_counter = queries_before >= 0;
   SoidClient client = fixture.MakeClient();
   Result<QueryResponse> shed = client.Query(MakeQuery(), -1.0);
   ASSERT_FALSE(shed.ok());
@@ -178,14 +171,10 @@ TEST(ServeServerTest, ExpiredDeadlineShedsAtAdmissionBeforeEngineWork) {
   SoidServer::Stats stats = fixture.server().stats();
   EXPECT_EQ(stats.expired_at_admission, 1);
   // The engine never saw the query: its run counter did not move.
-  if (have_counter) {
-    EXPECT_EQ(engine_queries(), queries_before);
-  }
+  EXPECT_EQ(engine_queries(), queries_before);
   // The connection survives — late requests are an error, not an offense.
   EXPECT_TRUE(client.Query(MakeQuery()).ok());
-  if (have_counter) {
-    EXPECT_EQ(engine_queries(), queries_before + 1);
-  }
+  EXPECT_EQ(engine_queries(), queries_before + 1);
 }
 
 // Wire-deadline edge 2: a deadline that fires mid-evaluation surfaces as

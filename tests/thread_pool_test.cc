@@ -152,7 +152,6 @@ TEST(ThreadPoolTest, InjectedChunkFaultDoesNotTakeDownSiblingsOrPool) {
   ParallelFor(&pool, 0, 64, count_all);
   for (const auto& h : hits) EXPECT_EQ(h, 1);
 
-#if SOI_OBS_ENABLED
   // All queued tasks were drained, faulted or not.
   obs::MetricsSnapshot snapshot = obs::Registry::Global().Snapshot();
   for (const obs::MetricsSnapshot::GaugeValue& gauge : snapshot.gauges) {
@@ -160,7 +159,6 @@ TEST(ThreadPoolTest, InjectedChunkFaultDoesNotTakeDownSiblingsOrPool) {
       EXPECT_EQ(gauge.value, 0);
     }
   }
-#endif
 }
 
 TEST(ThreadPoolTest, ParallelSortSmallRangeFallsBack) {

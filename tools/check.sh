@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
-# The one-command pre-merge gate: configures, builds, and tests every
-# gate preset in sequence, then re-runs the label suites under the
-# builds that give each its strongest guarantee. Presets, in order:
-#   default       — the tier-1 suite plus soi-lint (ctest -L lint runs
-#                   inside),
+# The one-command pre-merge gate: configures, builds, and runs the full
+# test suite for every gate preset in sequence. Every label suite
+# (lint, obs, robustness, snapshot, serving, ingest, deadlock, perf)
+# runs inside these sweeps; `ctest -L <label>` in a build tree runs one
+# alone. Presets, in order:
+#   default       — the tier-1 suite plus soi-lint and the perf smoke
+#                   (which runs serially, see bench/CMakeLists.txt),
 #   check         — the static-analysis build (Clang thread-safety as
 #                   -Werror; on non-Clang compilers the annotations are
 #                   no-ops and the preset degrades to a plain rebuild),
@@ -12,7 +14,9 @@
 #   tsan          — the full suite under ThreadSanitizer (perf smoke
 #                   excluded: sanitizer timings would trip the scaling
 #                   floors),
-#   fault         — fault-injection hooks armed under ASan+UBSan,
+#   fault         — fault-injection hooks armed under ASan+UBSan (the
+#                   fault cases of the snapshot, serving and ingest
+#                   suites run fully here),
 #   deadlock      — the full suite with the runtime lock-order graph
 #                   armed and fatal-on-violation (the report-clean gate),
 #   tsan-deadlock — the same suite with TSan watching the lock-graph
@@ -74,52 +78,6 @@ for preset in default check ubsan tsan fault deadlock tsan-deadlock; do
   run_step "$preset-test" ctest --preset "$preset" -j "$JOBS" \
       --output-on-failure ${EXTRA_CTEST_ARGS[@]+"${EXTRA_CTEST_ARGS[@]}"}
 done
-
-# The snapshot suite runs inside the full sweeps above; re-run it by
-# label under the fault build so persistence corruption handling is
-# exercised with fault points armed-able even when extra ctest args
-# filtered it out of the main pass.
-run_step fault-snapshot ctest --preset fault-snapshot -j "$JOBS" \
-    --output-on-failure
-
-# Observability suite, same rationale: the flight-recorder / dump /
-# exemplar tests get a guaranteed pass in the default build and a
-# guaranteed race check under TSan (concurrent append and snapshot
-# consistency are exactly the paths a data race would hide in), even
-# when extra ctest args filtered them out of the main sweeps.
-run_step obs ctest --preset obs -j "$JOBS" --output-on-failure
-run_step tsan-obs ctest --preset tsan-obs -j "$JOBS" --output-on-failure
-
-# Serving suite, same rationale, across three builds: plain (protocol /
-# backpressure / drain semantics), TSan (the accept/reader/worker/drain
-# thread choreography is exactly where a data race would hide), and
-# fault (the chaos soak with serve.* fault points actually armed, under
-# ASan). Guaranteed passes even when extra ctest args filtered the
-# label out of the main sweeps.
-run_step serving ctest --preset serving -j "$JOBS" --output-on-failure
-run_step tsan-serving ctest --preset tsan-serving -j "$JOBS" \
-    --output-on-failure
-run_step fault-serving ctest --preset fault-serving -j "$JOBS" \
-    --output-on-failure
-
-# Ingest suite, same rationale, across the same three builds: plain
-# (epoch visibility, whole-batch validation, bit-identity vs cold
-# rebuilds), TSan (the writer/compactor/reader RCU choreography is
-# exactly where a publication race would hide), and fault (the
-# failed-publish cases — "ingest.apply_delta" / "ingest.compact" —
-# actually armed, under ASan). Guaranteed passes even when extra ctest
-# args filtered the label out of the main sweeps.
-run_step ingest ctest --preset ingest -j "$JOBS" --output-on-failure
-run_step tsan-ingest ctest --preset tsan-ingest -j "$JOBS" \
-    --output-on-failure
-run_step fault-ingest ctest --preset fault-ingest -j "$JOBS" \
-    --output-on-failure
-
-# Perf smoke, same rationale: guaranteed one run in the un-sanitized
-# default build with its scaling gates evaluated, even when extra ctest
-# args filtered it above. Run serially — a parallel ctest sweep would
-# perturb the timings the gates check.
-run_step perf ctest --preset perf --output-on-failure
 
 print_summary
 echo

@@ -55,8 +55,8 @@ layering      The src/ include graph must follow the declared layer DAG
               upward (core -> serve, say) couples subsystems the
               architecture keeps composable. Exception: any .cc file
               may include the cross-cutting instrumentation layers
-              (obs, analysis), whose compile-out contracts keep them
-              dependency-safe; headers get no such exception.
+              (obs, analysis), which depend only on common and each
+              other; headers get no such exception.
 include-cycle No cycle in the file-level `#include "..."` graph under
               src/ — a cycle means include order decides what compiles.
 headers       (--headers mode) Every src/**/*.h compiles standalone via
@@ -233,11 +233,11 @@ LAYER_DEPS = {
                "network", "objects", "obs", "snapshot", "text"},
 }
 
-# Cross-cutting instrumentation layers any .cc file may include: their
-# compile-out contracts (obs/obs.h, analysis/lock_graph.h) keep them
-# dependency-safe, and instrumenting a low layer (thread_pool.cc's queue
-# gauges, say) must not force that layer above obs in the DAG. Headers
-# get no such exception — a header include is an interface dependency.
+# Cross-cutting instrumentation layers any .cc file may include: they
+# depend only on common and each other, and instrumenting a low layer
+# (thread_pool.cc's queue gauges, say) must not force that layer above
+# obs in the DAG. Headers get no such exception — a header include is
+# an interface dependency.
 INSTRUMENTATION_LAYERS = ("analysis", "obs")
 
 _INCLUDE = re.compile(r'^\s*#\s*include\s*"([^"]+)"')
