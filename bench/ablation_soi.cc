@@ -56,7 +56,8 @@ void BM_SoiStrategy(benchmark::State& state) {
   options.strategy = static_cast<SourceListStrategy>(state.range(0));
   int64_t segments_seen = 0;
   for (auto _ : state) {
-    SoiResult result = algorithm.TopK(query, *world.maps, options);
+    SoiResult result =
+        algorithm.TryTopK(query, *world.maps, options).ValueOrDie();
     segments_seen = result.stats.segments_seen;
     benchmark::DoNotOptimize(result);
   }
@@ -77,7 +78,8 @@ void BM_SoiRefinement(benchmark::State& state) {
   options.pruned_refinement = state.range(0) != 0;
   int64_t finalized = 0;
   for (auto _ : state) {
-    SoiResult result = algorithm.TopK(query, *world.maps, options);
+    SoiResult result =
+        algorithm.TryTopK(query, *world.maps, options).ValueOrDie();
     finalized = result.stats.segments_finalized_in_refinement;
     benchmark::DoNotOptimize(result);
   }
@@ -100,7 +102,7 @@ void BM_SoiCellSize(benchmark::State& state) {
                          world.indexes->global_index);
   SoiQuery query = MakeQuery(world.dataset, 20);
   for (auto _ : state) {
-    SoiResult result = algorithm.TopK(query, *world.maps);
+    SoiResult result = algorithm.TryTopK(query, *world.maps).ValueOrDie();
     benchmark::DoNotOptimize(result);
   }
 }
@@ -119,7 +121,7 @@ void BM_SoiVsBaseline(benchmark::State& state) {
     SoiAlgorithm algorithm(world.dataset.network, world.indexes->poi_grid,
                            world.indexes->global_index);
     for (auto _ : state) {
-      SoiResult result = algorithm.TopK(query, *world.maps);
+      SoiResult result = algorithm.TryTopK(query, *world.maps).ValueOrDie();
       benchmark::DoNotOptimize(result);
     }
   } else {

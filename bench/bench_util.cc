@@ -87,6 +87,22 @@ KeywordSet AccumulatedQueryKeywords(const Dataset& dataset, int count) {
   return KeywordSet(std::move(ids));
 }
 
+void CheckSameAnswers(const std::vector<Result<SoiResult>>& got,
+                      const std::vector<Result<SoiResult>>& want,
+                      const char* what) {
+  SOI_CHECK(got.size() == want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    const std::vector<RankedStreet>& g = got[i].ValueOrDie().streets;
+    const std::vector<RankedStreet>& w = want[i].ValueOrDie().streets;
+    SOI_CHECK(g.size() == w.size());
+    for (size_t r = 0; r < g.size(); ++r) {
+      SOI_CHECK(g[r].street == w[r].street && g[r].interest == w[r].interest &&
+                g[r].best_segment == w[r].best_segment)
+          << what << " answer differs at query " << i << " rank " << r;
+    }
+  }
+}
+
 BenchJsonFile::BenchJsonFile(const std::string& benchmark,
                              const BenchOptions& options,
                              const std::string& path)

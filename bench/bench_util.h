@@ -11,7 +11,9 @@
 
 #include "common/check.h"
 #include "common/json_writer.h"
+#include "common/status.h"
 #include "common/string_util.h"
+#include "core/soi_query.h"
 #include "datagen/city_profile.h"
 #include "datagen/dataset.h"
 
@@ -67,6 +69,12 @@ std::vector<std::unique_ptr<CityContext>> LoadCities(
 /// {religion, education, food, services}, resolved in the dataset's
 /// vocabulary.
 KeywordSet AccumulatedQueryKeywords(const Dataset& dataset, int count);
+
+/// Fatal unless both TryRunBatch results succeeded with identical answers
+/// (streets, exact interests, best segments); `what` labels a failure.
+void CheckSameAnswers(const std::vector<Result<SoiResult>>& got,
+                      const std::vector<Result<SoiResult>>& want,
+                      const char* what);
 
 /// The one machine-readable results writer shared by the experiment
 /// drivers (Figure 4/5/6, throughput): streams the standard BENCH_*.json

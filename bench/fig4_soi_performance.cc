@@ -34,7 +34,7 @@ Measurement Measure(const bench_util::CityContext& city,
   // Warm-up + best-of-3 to de-noise (queries are deterministic).
   for (int run = 0; run < 3; ++run) {
     Stopwatch timer;
-    SoiResult result = algorithm.TopK(query, maps);
+    SoiResult result = algorithm.TryTopK(query, maps).ValueOrDie();
     double elapsed = timer.ElapsedSeconds();
     if (run == 0 || elapsed < m.soi_seconds) {
       m.soi_seconds = elapsed;

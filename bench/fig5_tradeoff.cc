@@ -47,7 +47,8 @@ int Run(int argc, char** argv) {
     EpsAugmentedMaps maps(city->indexes->segment_cells, eps);
     SoiAlgorithm algorithm(dataset.network, city->indexes->poi_grid,
                            city->indexes->global_index);
-    StreetId top = algorithm.TopK(query, maps).streets[0].street;
+    StreetId top =
+        algorithm.TryTopK(query, maps).ValueOrDie().streets[0].street;
     StreetPhotos sp = ExtractStreetPhotos(dataset.network, top,
                                           dataset.photos,
                                           city->indexes->photo_grid, eps);

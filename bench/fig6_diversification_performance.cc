@@ -33,7 +33,7 @@ Setup PrepareStreet(const bench_util::CityContext& city, double eps) {
   EpsAugmentedMaps maps(city.indexes->segment_cells, eps);
   SoiAlgorithm algorithm(dataset.network, city.indexes->poi_grid,
                          city.indexes->global_index);
-  StreetId top = algorithm.TopK(query, maps).streets[0].street;
+  StreetId top = algorithm.TryTopK(query, maps).ValueOrDie().streets[0].street;
   Setup setup{ExtractStreetPhotos(dataset.network, top, dataset.photos,
                                   city.indexes->photo_grid, eps),
               dataset.network.street(top).name};

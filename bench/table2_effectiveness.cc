@@ -37,7 +37,7 @@ int Run(int argc, char** argv) {
     EpsAugmentedMaps maps(city->indexes->segment_cells, query.eps);
     SoiAlgorithm algorithm(dataset.network, city->indexes->poi_grid,
                            city->indexes->global_index);
-    SoiResult result = algorithm.TopK(query, maps);
+    SoiResult result = algorithm.TryTopK(query, maps).ValueOrDie();
 
     std::cout << "\n--- " << city->profile.name << " ---\n\n";
     std::set<StreetId> source1(truth->web_sources[0].begin(),

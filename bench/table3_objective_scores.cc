@@ -45,7 +45,7 @@ int Run(int argc, char** argv) {
     EpsAugmentedMaps maps(city->indexes->segment_cells, eps);
     SoiAlgorithm algorithm(dataset.network, city->indexes->poi_grid,
                            city->indexes->global_index);
-    SoiResult result = algorithm.TopK(query, maps);
+    SoiResult result = algorithm.TryTopK(query, maps).ValueOrDie();
     SOI_CHECK(!result.streets.empty());
     StreetId top = result.streets[0].street;
 

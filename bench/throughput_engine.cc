@@ -104,21 +104,6 @@ std::vector<SoiQuery> MakeBatch(const Dataset& dataset) {
   return batch;
 }
 
-void CheckSameAnswers(const std::vector<SoiResult>& got,
-                      const std::vector<SoiResult>& want) {
-  SOI_CHECK(got.size() == want.size());
-  for (size_t i = 0; i < got.size(); ++i) {
-    SOI_CHECK(got[i].streets.size() == want[i].streets.size());
-    for (size_t r = 0; r < got[i].streets.size(); ++r) {
-      SOI_CHECK(got[i].streets[r].street == want[i].streets[r].street &&
-                got[i].streets[r].interest == want[i].streets[r].interest &&
-                got[i].streets[r].best_segment ==
-                    want[i].streets[r].best_segment)
-          << "thread-count-dependent answer at query " << i << " rank " << r;
-    }
-  }
-}
-
 // `capture_trace`: record the timed max-thread batch into the global
 // trace recorder (left stopped afterwards, events retained for export).
 CityRun MeasureCity(const bench_util::CityContext& city,
@@ -135,7 +120,7 @@ CityRun MeasureCity(const bench_util::CityContext& city,
     Stopwatch timer;
     for (const SoiQuery& query : batch) {
       EpsAugmentedMaps maps(city.indexes->segment_cells, query.eps);
-      SoiResult result = algorithm.TopK(query, maps);
+      SoiResult result = algorithm.TryTopK(query, maps).ValueOrDie();
       (void)result;
     }
     out.baseline_nocache_seconds = timer.ElapsedSeconds();
@@ -148,7 +133,7 @@ CityRun MeasureCity(const bench_util::CityContext& city,
   // on a noisy or oversubscribed host, and the scaling gates below
   // compare these numbers directly — min-time is the standard filter.
   constexpr int kTimedRepeats = 3;
-  std::vector<SoiResult> reference;
+  std::vector<Result<SoiResult>> reference;
   for (int threads : thread_counts) {
     QueryEngineOptions options;
     options.num_threads = threads;
@@ -157,7 +142,9 @@ CityRun MeasureCity(const bench_util::CityContext& city,
                        city.indexes->segment_cells, options);
     // Warm-up pass (first-touch allocations, cache population), then the
     // timed passes on a warm cache — the steady-state serving shape.
-    engine.RunBatch(batch);
+    for (const Result<SoiResult>& result : engine.TryRunBatch(batch)) {
+      SOI_CHECK(result.ok()) << result.status().ToString();
+    }
     bool tracing = capture_trace && threads == thread_counts.back();
     EngineRun run;
     run.threads = threads;
@@ -170,7 +157,7 @@ CityRun MeasureCity(const bench_util::CityContext& city,
       uint64_t flight_watermark =
           obs::FlightRecorder::Global().last_query_id();
       Stopwatch timer;
-      std::vector<SoiResult> results = engine.RunBatch(batch);
+      std::vector<Result<SoiResult>> results = engine.TryRunBatch(batch);
       double seconds = timer.ElapsedSeconds();
       obs::MetricsSnapshot delta =
           obs::Registry::Global().Snapshot().Since(before);
@@ -187,7 +174,8 @@ CityRun MeasureCity(const bench_util::CityContext& city,
       if (reference.empty()) {
         reference = std::move(results);  // the 1-thread rep 0 pass
       } else {
-        CheckSameAnswers(results, reference);
+        bench_util::CheckSameAnswers(results, reference,
+                                     "thread-count-dependent");
       }
       if (rep == 0 || seconds < run.seconds) {
         run.seconds = seconds;

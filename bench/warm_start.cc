@@ -48,21 +48,6 @@ std::vector<SoiQuery> MakeProbeBatch(const Dataset& dataset) {
   return batch;
 }
 
-void CheckSameAnswers(const std::vector<SoiResult>& got,
-                      const std::vector<SoiResult>& want) {
-  SOI_CHECK(got.size() == want.size());
-  for (size_t i = 0; i < got.size(); ++i) {
-    SOI_CHECK(got[i].streets.size() == want[i].streets.size());
-    for (size_t r = 0; r < got[i].streets.size(); ++r) {
-      SOI_CHECK(got[i].streets[r].street == want[i].streets[r].street &&
-                got[i].streets[r].interest == want[i].streets[r].interest &&
-                got[i].streets[r].best_segment ==
-                    want[i].streets[r].best_segment)
-          << "warm-start answer differs at query " << i << " rank " << r;
-    }
-  }
-}
-
 CityRun MeasureCity(const Dataset& dataset) {
   CityRun out;
   out.city = dataset.name;
@@ -114,7 +99,8 @@ CityRun MeasureCity(const Dataset& dataset) {
                           snap.indexes->global_index,
                           snap.indexes->segment_cells, options,
                           snap.eps_maps);
-  CheckSameAnswers(warm_engine.RunBatch(batch), cold_engine.RunBatch(batch));
+  bench_util::CheckSameAnswers(warm_engine.TryRunBatch(batch),
+                               cold_engine.TryRunBatch(batch), "warm-start");
   // The warm engine served every eps from the preloaded maps.
   SOI_CHECK(warm_engine.cache_stats().misses == 0)
       << "warm-start engine rebuilt maps it was seeded with";

@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
   EpsAugmentedMaps maps(indexes->segment_cells, query.eps);
   SoiAlgorithm algorithm(dataset.network, indexes->poi_grid,
                          indexes->global_index);
-  SoiResult result = algorithm.TopK(query, maps);
+  SoiResult result = algorithm.TryTopK(query, maps).ValueOrDie();
 
   std::cout << "\nTop-" << k << " streets for \"" << query_text
             << "\" in Vienna:\n";

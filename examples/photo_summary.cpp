@@ -72,7 +72,8 @@ int main(int argc, char** argv) {
   EpsAugmentedMaps maps(indexes->segment_cells, query.eps);
   SoiAlgorithm algorithm(dataset.network, indexes->poi_grid,
                          indexes->global_index);
-  StreetId top = algorithm.TopK(query, maps).streets.at(0).street;
+  StreetId top =
+      algorithm.TryTopK(query, maps).ValueOrDie().streets.at(0).street;
 
   StreetPhotos sp = ExtractStreetPhotos(dataset.network, top,
                                         dataset.photos, indexes->photo_grid,

@@ -63,7 +63,7 @@ int main() {
   query.eps = 0.0005;
   EpsAugmentedMaps maps(segment_cells, query.eps);
   SoiAlgorithm algorithm(network, poi_grid, global_index);
-  SoiResult result = algorithm.TopK(query, maps);
+  SoiResult result = algorithm.TryTopK(query, maps).ValueOrDie();
   const RankedStreet& winner = result.streets.at(0);
   std::cout << "Top street for \"cafe\": "
             << network.street(winner.street).name

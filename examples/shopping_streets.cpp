@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
   EpsAugmentedMaps maps(indexes->segment_cells, query.eps);
   SoiAlgorithm algorithm(dataset.network, indexes->poi_grid,
                          indexes->global_index);
-  SoiResult result = algorithm.TopK(query, maps);
+  SoiResult result = algorithm.TryTopK(query, maps).ValueOrDie();
 
   const CategoryGroundTruth* truth = dataset.ground_truth.Find(keyword);
   std::set<StreetId> planted;

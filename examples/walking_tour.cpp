@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
   EpsAugmentedMaps maps(indexes->segment_cells, query.eps);
   SoiAlgorithm algorithm(dataset.network, indexes->poi_grid,
                          indexes->global_index);
-  SoiResult result = algorithm.TopK(query, maps);
+  SoiResult result = algorithm.TryTopK(query, maps).ValueOrDie();
 
   ShortestPathEngine engine(dataset.network);
   RouteRecommender recommender(dataset.network, engine);

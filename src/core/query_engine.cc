@@ -1,5 +1,6 @@
 #include "core/query_engine.h"
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -37,12 +38,13 @@ Status CountQueryFailure(Status status) {
   return status;
 }
 
-// RAII decrement of the in-flight query gauge.
+// RAII release of `slots` in-flight query slots.
 class InflightGuard {
  public:
-  explicit InflightGuard(std::atomic<int64_t>* counter) : counter_(counter) {}
+  explicit InflightGuard(std::atomic<int64_t>* counter, int64_t slots = 1)
+      : counter_(counter), slots_(slots) {}
   ~InflightGuard() {
-    counter_->fetch_sub(1, std::memory_order_relaxed);
+    counter_->fetch_sub(slots_, std::memory_order_relaxed);
     // Last-write-wins level for introspection; a racing Set from a
     // concurrent query only blurs the gauge by one, never the admission
     // check (which reads the atomic, not the gauge).
@@ -54,6 +56,7 @@ class InflightGuard {
 
  private:
   std::atomic<int64_t>* counter_;
+  int64_t slots_;
 };
 
 // Flight-recorder identity fields of one query (and its fresh id).
@@ -134,11 +137,8 @@ QueryEngine::QueryEngine(
     for (std::shared_ptr<const EpsAugmentedMaps>& maps : preloaded) {
       SOI_CHECK(maps != nullptr) << "warm start: null preloaded maps";
       double eps = maps->eps();
-      std::promise<MapsPayload> promise;
       CacheEntry entry;
-      entry.maps = promise.get_future().share();
-      entry.ready_maps = maps;
-      promise.set_value(MapsPayload{std::move(maps), Status::OK()});
+      entry.ready_maps = std::move(maps);
       entry.last_used = std::make_shared<std::atomic<uint64_t>>(
           cache_tick_.fetch_add(1, std::memory_order_relaxed) + 1);
       entry.id = ++next_entry_id_;
@@ -160,39 +160,13 @@ void QueryEngine::RebuildHitTableLocked() {
     if (entry.ready_maps == nullptr) continue;  // still building
     table->emplace(eps, HitEntry{entry.ready_maps, entry.last_used});
   }
-  hit_table_.store(table.get(), std::memory_order_seq_cst);
-  hit_table_storage_.push_back(std::move(table));
-  // Grace-period reclamation. Every reader increments hit_readers_
-  // (seq_cst) *before* loading hit_table_ (seq_cst); we stored the new
-  // generation (seq_cst) before loading the counter (seq_cst). So in the
-  // single total order on seq_cst operations, a reader not visible in
-  // the counter here either finished (its release decrement
-  // happens-before this load, so its table use is done) or has not yet
-  // loaded the pointer — and will then observe this store or a later
-  // one, never a retired generation. Observing 0 therefore proves no
-  // reader can reach any generation but the newest. If readers are in
-  // flight, retired generations simply survive until a later rebuild
-  // observes quiescence.
-  if (hit_table_storage_.size() > 1 &&
-      hit_readers_.load(std::memory_order_seq_cst) == 0) {
-    std::unique_ptr<const HitTable> current =
-        std::move(hit_table_storage_.back());
-    hit_table_storage_.clear();
-    hit_table_storage_.push_back(std::move(current));
-  }
+  hit_table_.Publish(std::move(table));
 }
 
 QueryEngine::~QueryEngine() = default;
 
 int QueryEngine::num_threads() const {
   return pool_ ? options_.num_threads : 1;
-}
-
-std::shared_ptr<const EpsAugmentedMaps> QueryEngine::GetMaps(double eps) {
-  Result<std::shared_ptr<const EpsAugmentedMaps>> maps = TryGetMaps(eps);
-  SOI_CHECK(maps.ok()) << "eps augmentation build failed: "
-                       << maps.status().ToString();
-  return std::move(maps).ValueOrDie();
 }
 
 Result<std::shared_ptr<const EpsAugmentedMaps>> QueryEngine::TryGetMaps(
@@ -204,30 +178,21 @@ Result<std::shared_ptr<const EpsAugmentedMaps>> QueryEngine::TryGetMaps(
   // threads never serialize on cache_mutex_. A hit racing an eviction
   // may resolve against the just-evicted snapshot — the maps stay alive
   // through the shared_ptr, so this only blurs LRU recency by one tick.
-  {
-    // Wait-free reader registration: the increment must precede the
-    // pointer load (both seq_cst) for the grace-period argument in
-    // RebuildHitTableLocked to hold. The shared_ptr is copied out of the
-    // table before deregistering, so the maps outlive any reclamation.
-    hit_readers_.fetch_add(1, std::memory_order_seq_cst);
-    const HitTable* table = hit_table_.load(std::memory_order_seq_cst);
-    std::shared_ptr<const EpsAugmentedMaps> maps;
-    if (table != nullptr) {
-      auto hit = table->find(eps);
-      if (hit != table->end()) {
+  std::shared_ptr<const EpsAugmentedMaps> hit_maps = hit_table_.Read(
+      [&](const HitTable* table) -> std::shared_ptr<const EpsAugmentedMaps> {
+        if (table == nullptr) return nullptr;
+        auto hit = table->find(eps);
+        if (hit == table->end()) return nullptr;
         hit->second.last_used->store(
             cache_tick_.fetch_add(1, std::memory_order_relaxed) + 1,
             std::memory_order_relaxed);
-        maps = hit->second.maps;
-      }
-    }
-    hit_readers_.fetch_sub(1, std::memory_order_release);
-    if (maps != nullptr) {
-      cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      SOI_OBS_COUNTER_ADD("soi.cache.hits", 1);
-      if (cache_hit != nullptr) *cache_hit = true;
-      return maps;
-    }
+        return hit->second.maps;
+      });
+  if (hit_maps != nullptr) {
+    cache_hits_.fetch_add(1, std::memory_order_relaxed);
+    SOI_OBS_COUNTER_ADD("soi.cache.hits", 1);
+    if (cache_hit != nullptr) *cache_hit = true;
+    return hit_maps;
   }
 
   // Bounded retry: a waiter that observes a peer's failed build loops
@@ -238,6 +203,7 @@ Result<std::shared_ptr<const EpsAugmentedMaps>> QueryEngine::TryGetMaps(
   for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
     std::promise<MapsPayload> promise;
     MapsFuture future;
+    std::shared_ptr<const EpsAugmentedMaps> ready;
     uint64_t my_id = 0;
     bool builder = false;
     bool hit = false;
@@ -259,6 +225,7 @@ Result<std::shared_ptr<const EpsAugmentedMaps>> QueryEngine::TryGetMaps(
         // lands in this branch — both count as hits).
         hit = true;
         it->second.last_used->store(tick, std::memory_order_relaxed);
+        ready = it->second.ready_maps;
         future = it->second.maps;
       } else {
         if (cache_.size() >= options_.eps_cache_capacity) {
@@ -272,7 +239,7 @@ Result<std::shared_ptr<const EpsAugmentedMaps>> QueryEngine::TryGetMaps(
           auto victim = cache_.end();
           for (auto entry = cache_.begin(); entry != cache_.end();
                ++entry) {
-            if (entry->second.building) continue;
+            if (entry->second.ready_maps == nullptr) continue;
             if (victim == cache_.end() ||
                 entry->second.last_used->load(std::memory_order_relaxed) <
                     victim->second.last_used->load(
@@ -292,7 +259,6 @@ Result<std::shared_ptr<const EpsAugmentedMaps>> QueryEngine::TryGetMaps(
         entry.maps = future;
         entry.last_used = std::make_shared<std::atomic<uint64_t>>(tick);
         entry.id = my_id;
-        entry.building = true;
         cache_.emplace(eps, std::move(entry));
         builder = true;
         cache_size_after = cache_.size();
@@ -313,7 +279,10 @@ Result<std::shared_ptr<const EpsAugmentedMaps>> QueryEngine::TryGetMaps(
     }
 
     if (!builder) {
-      MapsPayload payload = future.get();  // may block on build in flight
+      // Completed: resolve directly. In flight: block on the build.
+      MapsPayload payload = ready != nullptr
+                                ? MapsPayload{std::move(ready), Status::OK()}
+                                : future.get();
       if (payload.status.ok()) {
         if (cache_hit != nullptr) *cache_hit = true;
         return payload.maps;
@@ -376,7 +345,6 @@ Result<std::shared_ptr<const EpsAugmentedMaps>> QueryEngine::TryGetMaps(
       MutexLock lock(cache_mutex_);
       auto it = cache_.find(eps);
       if (it != cache_.end() && it->second.id == my_id) {
-        it->second.building = false;
         it->second.ready_maps = payload.maps;
         RebuildHitTableLocked();
       }
@@ -389,11 +357,18 @@ Result<std::shared_ptr<const EpsAugmentedMaps>> QueryEngine::TryGetMaps(
                           "eps=" + FormatDouble(eps));
 }
 
-SoiResult QueryEngine::Run(const SoiQuery& query) {
-  Result<SoiResult> result = TryRun(query);
-  SOI_CHECK(result.ok()) << "Run failed: " << result.status().ToString()
-                         << " (use TryRun for per-query Status)";
-  return std::move(result).ValueOrDie();
+Status QueryEngine::ClaimInflightSlot() {
+  int64_t inflight = inflight_.fetch_add(1, std::memory_order_relaxed) + 1;
+  SOI_OBS_GAUGE_SET("soi.engine.inflight", inflight);
+  if (options_.max_inflight_queries == 0 ||
+      inflight <= static_cast<int64_t>(options_.max_inflight_queries)) {
+    return Status::OK();
+  }
+  SOI_OBS_COUNTER_ADD("soi.engine.shed", 1);
+  return Status::ResourceExhausted(
+      "query shed: " + std::to_string(inflight) +
+      " in-flight queries exceeds max_inflight_queries=" +
+      std::to_string(options_.max_inflight_queries));
 }
 
 Result<SoiResult> QueryEngine::TryRun(const SoiQuery& query) {
@@ -440,18 +415,9 @@ Result<SoiResult> QueryEngine::TryRunInternal(
   // group) already charged one slot per logical query it represents.
   std::optional<InflightGuard> guard;
   if (!preadmitted) {
-    int64_t inflight =
-        inflight_.fetch_add(1, std::memory_order_relaxed) + 1;
-    SOI_OBS_GAUGE_SET("soi.engine.inflight", inflight);
-    guard.emplace(&inflight_);
-    if (options_.max_inflight_queries > 0 &&
-        inflight > static_cast<int64_t>(options_.max_inflight_queries)) {
-      SOI_OBS_COUNTER_ADD("soi.engine.shed", 1);
-      return Status::ResourceExhausted(
-          "query shed: " + std::to_string(inflight) +
-          " in-flight queries exceeds max_inflight_queries=" +
-          std::to_string(options_.max_inflight_queries));
-    }
+    Status slot = ClaimInflightSlot();
+    guard.emplace(&inflight_);  // gives the slot back, admitted or shed
+    SOI_RETURN_NOT_OK(slot);
   }
 
   SOI_TRACE_SPAN("engine.query");
@@ -504,25 +470,6 @@ Result<SoiResult> QueryEngine::TryRunInternal(
     return CountQueryFailure(Status::Internal(
         std::string("query evaluation failed: ") + e.what()));
   }
-}
-
-std::vector<SoiResult> QueryEngine::RunBatch(
-    const std::vector<SoiQuery>& queries) {
-  std::vector<Result<SoiResult>> tried = TryRunBatch(queries);
-  std::vector<SoiResult> results;
-  results.reserve(tried.size());
-  for (Result<SoiResult>& result : tried) {
-    SOI_CHECK(result.ok())
-        << "RunBatch failed: " << result.status().ToString()
-        << " (use TryRunBatch for per-query Status)";
-    results.push_back(std::move(result).ValueOrDie());
-  }
-  return results;
-}
-
-std::vector<Result<SoiResult>> QueryEngine::TryRunBatch(
-    const std::vector<SoiQuery>& queries) {
-  return TryRunBatch(queries, {});
 }
 
 std::vector<Result<SoiResult>> QueryEngine::TryRunBatch(
@@ -592,61 +539,28 @@ std::vector<Result<SoiResult>> QueryEngine::TryRunBatch(
             results[idx] = TryRun(queries[idx], cancel);
             return;
           }
-          // Coalesced group under a bounded engine: admission control is
-          // per *logical query* — each duplicate occupies one in-flight
-          // slot for the duration of the shared evaluation, exactly as
-          // if it had been submitted alone. Slots are claimed in input
-          // order; a member that finds the engine full is shed
-          // individually while admitted members still share the one
-          // evaluation.
-          std::vector<char> shed;
-          size_t num_admitted = group.size();
-          if (options_.max_inflight_queries > 0) {
-            shed.assign(group.size(), 0);
-            num_admitted = 0;
-            for (size_t g = 0; g < group.size(); ++g) {
-              int64_t inflight =
-                  inflight_.fetch_add(1, std::memory_order_relaxed) + 1;
-              SOI_OBS_GAUGE_SET("soi.engine.inflight", inflight);
-              if (inflight > static_cast<int64_t>(
-                                 options_.max_inflight_queries)) {
-                inflight_.fetch_sub(1, std::memory_order_relaxed);
-                shed[g] = 1;
-                SOI_OBS_COUNTER_ADD("soi.engine.shed", 1);
-              } else {
-                ++num_admitted;
-              }
-            }
-          }
-          Result<SoiResult> eval = Result<SoiResult>(
-              Status::ResourceExhausted(
-                  "query shed: coalesced batch group exceeds "
-                  "max_inflight_queries=" +
-                  std::to_string(options_.max_inflight_queries)));
+          // Coalesced group: admission control is per *logical query* —
+          // each duplicate occupies one in-flight slot for the duration
+          // of the shared evaluation, exactly as if it had been submitted
+          // alone. Slots are claimed in input order; a member that finds
+          // the engine full is shed individually (and gives its slot back
+          // once every member has claimed) while admitted members still
+          // share the one evaluation.
+          std::vector<Status> admission(group.size());
+          for (Status& status : admission) status = ClaimInflightSlot();
+          int64_t num_admitted =
+              std::count_if(admission.begin(), admission.end(),
+                            [](const Status& status) { return status.ok(); });
+          inflight_.fetch_sub(static_cast<int64_t>(group.size()) - num_admitted,
+                              std::memory_order_relaxed);
+          std::optional<Result<SoiResult>> eval;
           if (num_admitted > 0) {
-            // preadmitted when this group claimed slots above.
-            eval = TryRunCounted(queries[idx], cancel,
-                                 /*preadmitted=*/!shed.empty());
-          }
-          if (!shed.empty() && num_admitted > 0) {
-            inflight_.fetch_sub(static_cast<int64_t>(num_admitted),
-                                std::memory_order_relaxed);
-            SOI_OBS_GAUGE_SET(
-                "soi.engine.inflight",
-                inflight_.load(std::memory_order_relaxed));
+            InflightGuard release(&inflight_, num_admitted);
+            eval = TryRunCounted(queries[idx], cancel, /*preadmitted=*/true);
           }
           for (size_t g = 0; g < group.size(); ++g) {
-            if (!shed.empty() && shed[g]) {
-              results[static_cast<size_t>(group[g])] =
-                  Result<SoiResult>(Status::ResourceExhausted(
-                      "query shed: " +
-                      std::to_string(options_.max_inflight_queries) +
-                      " in-flight queries exceeds "
-                      "max_inflight_queries=" +
-                      std::to_string(options_.max_inflight_queries)));
-            } else {
-              results[static_cast<size_t>(group[g])] = eval;
-            }
+            results[static_cast<size_t>(group[g])] =
+                admission[g].ok() ? *eval : Result<SoiResult>(admission[g]);
           }
         });
   } catch (const std::exception&) {

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/mutex.h"
+#include "common/rcu.h"
 #include "common/thread_annotations.h"
 #include "core/soi_algorithm.h"
 #include "core/soi_query.h"
@@ -30,7 +31,7 @@ struct QueryRecord;
 
 /// Tuning knobs for QueryEngine.
 struct QueryEngineOptions {
-  /// Total concurrency: RunBatch evaluates up to this many queries at
+  /// Total concurrency: TryRunBatch evaluates up to this many queries at
   /// once, and single-query work (index augmentation, sorts, refinement)
   /// uses the same pool. 1 = fully sequential, no threads spawned.
   int num_threads = 1;
@@ -49,9 +50,7 @@ struct QueryEngineOptions {
   /// Admission control (DESIGN.md "Failure model"): when positive,
   /// TryRun sheds any query that would raise the number of in-flight
   /// queries beyond this bound, returning kResourceExhausted without
-  /// touching the cache or the pool. 0 (default) = unbounded. Run and
-  /// RunBatch treat shedding as fatal, so bounded configurations should
-  /// serve through TryRun/TryRunBatch.
+  /// touching the cache or the pool. 0 (default) = unbounded.
   size_t max_inflight_queries = 0;
 
   /// Per-query algorithm options. The `pool` field is overridden by the
@@ -81,14 +80,14 @@ struct QueryEngineOptions {
 /// ThreadPool.
 ///
 /// Determinism contract (DESIGN.md "Threading model"): for every query,
-/// Run/RunBatch return results bit-identical to
-/// `SoiAlgorithm::TopK(query, EpsAugmentedMaps(segment_cells, query.eps))`
-/// evaluated sequentially — for any num_threads, cache capacity, or batch
-/// composition. Timing fields of SoiQueryStats are excluded (wall-clock).
+/// TryRun/TryRunBatch return results bit-identical to the sequential
+/// `SoiAlgorithm::TryTopK(query, EpsAugmentedMaps(segment_cells, eps))`
+/// — for any num_threads, cache capacity, or batch composition. Timing
+/// fields of SoiQueryStats are excluded (wall-clock).
 ///
-/// Thread-safe: Run/RunBatch, TryRun/TryRunBatch, and GetMaps/TryGetMaps
-/// may be called from multiple threads. The referenced network and
-/// indices must outlive the engine.
+/// Thread-safe: TryRun, TryRunBatch and TryGetMaps may be called from
+/// multiple threads. The referenced network and indices must outlive the
+/// engine.
 ///
 /// Failure semantics of the Try* serving path — validation, admission
 /// control, deadlines/cancellation, and the no-cache-poisoning guarantee
@@ -96,7 +95,7 @@ struct QueryEngineOptions {
 class QueryEngine {
  public:
   /// All indices must be built over the same grid geometry (checked per
-  /// query by SoiAlgorithm::TopK).
+  /// query by SoiAlgorithm::TryTopK).
   QueryEngine(const RoadNetwork& network, const PoiGridIndex& grid,
               const GlobalInvertedIndex& global_index,
               const SegmentCellIndex& segment_cells,
@@ -123,19 +122,8 @@ class QueryEngine {
   QueryEngine(const QueryEngine&) = delete;
   QueryEngine& operator=(const QueryEngine&) = delete;
 
-  /// Evaluates one query through the eps cache. A query TryRun would
-  /// reject (validation failure, shed, deadline, cancellation, injected
-  /// fault) is a fatal error here; this is the convenience entry point
-  /// for trusted, unbounded configurations.
-  SoiResult Run(const SoiQuery& query);
-
-  /// Evaluates the batch, up to num_threads queries concurrently, and
-  /// returns the results in input order. Fatal on any per-query failure,
-  /// like Run.
-  std::vector<SoiResult> RunBatch(const std::vector<SoiQuery>& queries);
-
-  /// The hardened serving entry point (DESIGN.md "Failure model").
-  /// Returns, instead of the result:
+  /// Evaluates one query through the eps cache — the serving entry
+  /// point (DESIGN.md "Failure model"). Returns, instead of the result:
   ///  - kInvalidArgument if the query fails SoiQuery::Validate() —
   ///    checked before the eps cache is consulted, so a NaN eps can
   ///    never be used as a cache key;
@@ -160,12 +148,8 @@ class QueryEngine {
   /// concurrently, returning one Result per query in input order.
   /// Failures are per-entry: invalid, shed, expired, or faulted queries
   /// report their Status while the rest return results bit-identical to
-  /// the sequential reference.
-  [[nodiscard]] std::vector<Result<SoiResult>> TryRunBatch(
-      const std::vector<SoiQuery>& queries);
-
-  /// TryRunBatch with one cancellation token per query. `cancels` must
-  /// be empty (engine-wide token for all) or match queries.size().
+  /// the sequential reference. `cancels` must be empty (engine-wide
+  /// token for all) or hold one token per query.
   ///
   /// Duplicate coalescing: when `cancels` is empty, queries with the same
   /// full identity <Psi, k, eps> are evaluated once — the first occurrence
@@ -178,19 +162,14 @@ class QueryEngine {
   /// soi.engine.batch_coalesced.
   [[nodiscard]] std::vector<Result<SoiResult>> TryRunBatch(
       const std::vector<SoiQuery>& queries,
-      const std::vector<CancellationToken>& cancels);
+      const std::vector<CancellationToken>& cancels = {});
 
   /// The memoized eps augmentation for `eps`, building (and caching) it
   /// on first use. Concurrent requests for the same eps share one build.
   /// A hit on a completed entry is contention-free: it resolves against a
   /// read-mostly snapshot of the completed-entry table without touching
-  /// cache_mutex_ (see hit_table_ below). Fatal on a failed build;
-  /// serving paths use TryGetMaps.
-  std::shared_ptr<const EpsAugmentedMaps> GetMaps(double eps)
-      SOI_EXCLUDES(cache_mutex_);
-
-  /// Status-returning GetMaps: a build aborted by `cancel` (may be
-  /// null) or an injected fault surfaces as kCancelled /
+  /// cache_mutex_ (see hit_table_ below). A build aborted by `cancel`
+  /// (may be null) or an injected fault surfaces as kCancelled /
   /// kDeadlineExceeded / kInternal, after the failed entry has been
   /// evicted so later requests rebuild from scratch. When `cache_hit`
   /// is non-null it reports whether the lookup resolved without this
@@ -246,10 +225,10 @@ class QueryEngine {
   using MapsFuture = std::shared_future<MapsPayload>;
 
   struct CacheEntry {
-    MapsFuture maps;
-    /// Set under cache_mutex_ once the build has succeeded; non-null is
-    /// the "completed" signal RebuildHitTableLocked keys on (it must
-    /// never block on the future while holding the lock).
+    MapsFuture maps;  // the build's result; unset for warm-start entries
+    /// Set under cache_mutex_ once the build has succeeded; null means
+    /// in flight. Completed entries resolve through it, never blocking on
+    /// the future, and are the only ones eviction and the hit table see.
     std::shared_ptr<const EpsAugmentedMaps> ready_maps;
     /// LRU clock, shared with the hit-table snapshot so contention-free
     /// hits keep the recency the evictor reads. Heap-allocated because
@@ -259,32 +238,17 @@ class QueryEngine {
     /// so a failed builder evicts only its own entry (never a healthy
     /// replacement raced in by a retrying waiter).
     uint64_t id = 0;
-    /// True while the builder is still producing the future's value.
-    /// In-flight entries are exempt from eviction (see
-    /// QueryEngineOptions::eps_cache_capacity); the builder clears the
-    /// flag under cache_mutex_ on success, and erases the entry on
-    /// failure.
-    bool building = false;
   };
 
   /// The contention-free hit path: an immutable map of the *completed*
-  /// cache entries, republished copy-on-write whenever that set changes
-  /// — build completion, eviction, warm-start preload. A hit registers
-  /// itself in hit_readers_, loads the current generation pointer, looks
-  /// up eps, bumps the shared LRU clock, and returns — wait-free, no
-  /// mutex. Misses and in-flight entries fall through to the locked slow
-  /// path. A lookup racing an eviction may still hit the just-retired
-  /// generation; the maps stay alive through the HitEntry shared_ptr and
-  /// the counters tolerate the blur (see cache_stats()).
-  ///
-  /// Why not std::atomic<std::shared_ptr>: libstdc++'s _Sp_atomic
-  /// releases its embedded spinlock with a *relaxed* RMW, so its plain
-  /// control-block accesses carry no happens-before edge — formally a
-  /// data race, and TSan reports it. Publication here uses a plain
-  /// atomic pointer instead, with generation ownership kept in
-  /// hit_table_storage_ under cache_mutex_ and retired generations
-  /// reclaimed only after hit_readers_ is observed at zero (see
-  /// RebuildHitTableLocked for the seq_cst argument).
+  /// cache entries, republished (common/rcu.h) copy-on-write whenever
+  /// that set changes — build completion, eviction, warm-start preload.
+  /// A hit looks up eps, bumps the shared LRU clock, and copies the maps
+  /// out — wait-free, no mutex. Misses and in-flight entries fall
+  /// through to the locked slow path. A lookup racing an eviction may
+  /// still hit the just-retired generation; the maps stay alive through
+  /// the HitEntry shared_ptr and the counters tolerate the blur (see
+  /// cache_stats()).
   struct HitEntry {
     std::shared_ptr<const EpsAugmentedMaps> maps;
     std::shared_ptr<std::atomic<uint64_t>> last_used;
@@ -293,6 +257,11 @@ class QueryEngine {
 
   /// Republishes hit_table_ from the completed entries of cache_.
   void RebuildHitTableLocked() SOI_REQUIRES(cache_mutex_);
+
+  /// Claims one in-flight slot, which the caller must give back. Returns
+  /// OK, or the kResourceExhausted shed status naming the in-flight count
+  /// the claim observed when that exceeds max_inflight_queries.
+  Status ClaimInflightSlot();
 
   /// TryRun with an explicit admission mode: the shared body behind the
   /// public TryRun (preadmitted = false, admission control inside) and
@@ -326,16 +295,9 @@ class QueryEngine {
   mutable Mutex cache_mutex_{"core.QueryEngine.eps_cache",
                              lock_graph::kRankLeaf};
   std::unordered_map<double, CacheEntry> cache_ SOI_GUARDED_BY(cache_mutex_);
-  // Fast-path view: the current hit-table generation (null until the
-  // first entry completes). Points into hit_table_storage_, whose last
-  // element is the current generation and whose earlier elements are
-  // retired generations a concurrent reader may still be traversing.
-  std::atomic<const HitTable*> hit_table_{nullptr};
-  // Readers currently inside the fast-path lookup (wait-free guard for
-  // generation reclamation).
-  std::atomic<int64_t> hit_readers_{0};
-  std::vector<std::unique_ptr<const HitTable>> hit_table_storage_
-      SOI_GUARDED_BY(cache_mutex_);
+  // Fast-path view (null until the first entry completes); published
+  // under cache_mutex_.
+  Published<HitTable> hit_table_;
   // Monotone logical clock for LRU recency; atomic so lock-free hits can
   // bump it without cache_mutex_.
   std::atomic<uint64_t> cache_tick_{0};

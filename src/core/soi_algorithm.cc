@@ -21,7 +21,7 @@ namespace soi {
 // ---------------------------------------------------------------------
 // Reusable per-query scratch arenas.
 //
-// Every TopK call needs dense per-segment / per-street arrays, the three
+// Every TryTopK call needs dense per-segment / per-street arrays, the three
 // source-list buffers, and the refinement candidate heap. Allocating them
 // per query dominated the allocator traffic of the serving hot path, so
 // they live here instead: a query leases one QueryScratch from the pool,
@@ -225,7 +225,7 @@ class KthBestTracker {
   int64_t num_live_ = 0;
 };
 
-// Mutable per-run state of Algorithm 1. Scoped to one TopK call so the
+// Mutable per-run state of Algorithm 1. Scoped to one TryTopK call so the
 // SoiAlgorithm instance stays immutable; the backing storage comes from
 // the leased QueryScratch and is reset here, never reallocated.
 class Run {
@@ -807,30 +807,6 @@ SoiAlgorithm::SoiAlgorithm(const RoadNetwork& network,
 }
 
 SoiAlgorithm::~SoiAlgorithm() = default;
-
-SoiResult SoiAlgorithm::TopK(const SoiQuery& query,
-                             const EpsAugmentedMaps& maps,
-                             const SoiAlgorithmOptions& options) const {
-  // The legacy checked entry point: the same preconditions TryTopK
-  // reports as Status are fatal here. Deliberately *not* routed through
-  // SoiQuery::Validate() so pre-serving callers keep their semantics
-  // (e.g. an empty keyword set is a legal degenerate query here).
-  SOI_CHECK(query.k > 0) << "k must be positive";
-  SOI_CHECK(query.eps > 0) << "eps must be positive";
-  SOI_CHECK(maps.eps() == query.eps)
-      << "EpsAugmentedMaps built for eps=" << maps.eps()
-      << " but query has eps=" << query.eps;
-  SOI_CHECK(grid_->geometry().bounds() == maps.geometry().bounds() &&
-            grid_->geometry().cell_size() == maps.geometry().cell_size())
-      << "POI grid and segment maps use different grid geometries";
-  ScratchLease lease(scratch_pool_.get());
-  Run run(*network_, *grid_, *global_index_, segments_by_length_, query,
-          maps, options, &*lease);
-  Result<SoiResult> result = run.Execute();
-  SOI_CHECK(result.ok()) << "TopK aborted: " << result.status().ToString()
-                         << " (use TryTopK for cancellable queries)";
-  return std::move(result).ValueOrDie();
-}
 
 Result<SoiResult> SoiAlgorithm::TryTopK(
     const SoiQuery& query, const EpsAugmentedMaps& maps,

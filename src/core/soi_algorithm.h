@@ -20,7 +20,7 @@ class ThreadPool;
 /// Pool of reusable per-query scratch arenas (dense per-segment /
 /// per-street arrays, candidate heaps, source-list buffers). Defined in
 /// soi_algorithm.cc; sized by the bound dataset and shared by concurrent
-/// TopK calls so the serving hot path performs no steady-state heap
+/// TryTopK calls so the serving hot path performs no steady-state heap
 /// allocation.
 struct SoiScratchPool;
 
@@ -42,7 +42,7 @@ enum class SourceListStrategy {
   kCellsFirst,
 };
 
-/// Tuning knobs and instrumentation hooks for SoiAlgorithm::TopK.
+/// Tuning knobs and instrumentation hooks for SoiAlgorithm::TryTopK.
 struct SoiAlgorithmOptions {
   SourceListStrategy strategy = SourceListStrategy::kAlternateCellsSegments;
 
@@ -71,9 +71,7 @@ struct SoiAlgorithmOptions {
   /// inert token never fires and costs one null test per check, so the
   /// determinism contract and hot-path cost are untouched for callers
   /// that don't use it. TryTopK surfaces a fired token as
-  /// kCancelled / kDeadlineExceeded; TopK (the ValueOrDie wrapper)
-  /// treats firing as a fatal error — serve cancellable queries through
-  /// TryTopK / QueryEngine::TryRun.
+  /// kCancelled / kDeadlineExceeded.
   CancellationToken cancel;
 
   /// Epoch-pinned POI read surface for this evaluation (grid/live_poi_view.h).
@@ -104,7 +102,7 @@ struct SoiAlgorithmOptions {
 /// that computes exact interests for the seen segments.
 ///
 /// The instance is bound to one dataset's indices and is immutable /
-/// thread-compatible; each TopK call carries its own state.
+/// thread-compatible; each TryTopK call carries its own state.
 class SoiAlgorithm {
  public:
   /// All three indices must be built over the same grid geometry. `pool`
@@ -121,18 +119,11 @@ class SoiAlgorithm {
   SoiAlgorithm& operator=(const SoiAlgorithm&) = delete;
 
   /// Evaluates the query. `maps` must be the eps augmentation for
-  /// query.eps over the same network and grid geometry. Malformed
-  /// queries and a fired cancellation token are fatal here; use TryTopK
-  /// for per-query Status.
-  SoiResult TopK(const SoiQuery& query, const EpsAugmentedMaps& maps,
-                 const SoiAlgorithmOptions& options = {}) const;
-
-  /// The Status-returning serving-path variant of TopK: kInvalidArgument
-  /// for a query that fails SoiQuery::Validate() or maps built for a
-  /// different eps/geometry, kCancelled / kDeadlineExceeded when
-  /// options.cancel fires mid-run (checked per filtering iteration and
-  /// per refinement segment). On success the result is bit-identical to
-  /// TopK's.
+  /// query.eps over the same network and grid geometry. Returns
+  /// kInvalidArgument for a query that fails SoiQuery::Validate() or
+  /// maps built for a different eps/geometry, kCancelled /
+  /// kDeadlineExceeded when options.cancel fires mid-run (checked per
+  /// filtering iteration and per refinement segment).
   [[nodiscard]] Result<SoiResult> TryTopK(
       const SoiQuery& query, const EpsAugmentedMaps& maps,
       const SoiAlgorithmOptions& options = {}) const;
@@ -148,7 +139,7 @@ class SoiAlgorithm {
   const GlobalInvertedIndex* global_index_;
   std::vector<SegmentId> segments_by_length_;
   // Reused across queries; internally synchronized (leases are handed to
-  // concurrent TopK calls under the pool's own mutex).
+  // concurrent TryTopK calls under the pool's own mutex).
   std::unique_ptr<SoiScratchPool> scratch_pool_;
 };
 

@@ -135,9 +135,9 @@ struct PoiEpochSnapshot {
 };
 
 /// Where QueryEngine pins an epoch per query. Pin() is wait-free for
-/// readers (the ingest implementation mirrors the RCU-style hit-table of
-/// QueryEngine: atomic generation pointer + reader counter, never a
-/// lock) and the returned snapshot stays valid until released.
+/// readers (the ingest implementation reads a common/rcu.h Published
+/// snapshot, never a lock) and the returned snapshot stays valid until
+/// released.
 class PoiEpochSource {
  public:
   virtual ~PoiEpochSource() = default;

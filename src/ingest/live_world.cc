@@ -53,34 +53,14 @@ LiveWorld::~LiveWorld() {
 }
 
 std::shared_ptr<const PoiEpochSnapshot> LiveWorld::Pin() const {
-  // Wait-free reader side of the RCU protocol (the same seq_cst
-  // argument as QueryEngine::RebuildHitTableLocked): register before
-  // loading the generation pointer, copy the shared_ptr out while
-  // registered, deregister. A pin racing a republish may return the
-  // just-retired epoch — its holder is retired, not freed, until a
-  // later publish observes readers_ == 0.
-  readers_.fetch_add(1, std::memory_order_seq_cst);
-  const SnapshotHolder* holder = current_.load(std::memory_order_seq_cst);
-  std::shared_ptr<const PoiEpochSnapshot> snapshot = *holder;
-  readers_.fetch_sub(1, std::memory_order_release);
-  return snapshot;
+  return snapshot_.Read([](const auto* current) { return *current; });
 }
 
 void LiveWorld::PublishLocked(
     std::shared_ptr<const PoiEpochSnapshot> snapshot) {
-  auto holder = std::make_unique<const SnapshotHolder>(std::move(snapshot));
-  current_.store(holder.get(), std::memory_order_seq_cst);
-  storage_.push_back(std::move(holder));
-  // Grace-period reclamation, mirroring the eps hit table: observing
-  // zero registered readers after the seq_cst store above proves no
-  // reader can still reach a retired holder.
-  if (storage_.size() > 1 &&
-      readers_.load(std::memory_order_seq_cst) == 0) {
-    std::unique_ptr<const SnapshotHolder> current =
-        std::move(storage_.back());
-    storage_.clear();
-    storage_.push_back(std::move(current));
-  }
+  snapshot_.Publish(
+      std::make_unique<const std::shared_ptr<const PoiEpochSnapshot>>(
+          std::move(snapshot)));
 }
 
 const PoiGridIndex& LiveWorld::CurrentGridLocked() const {

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/mutex.h"
+#include "common/rcu.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "datagen/dataset.h"
@@ -78,10 +79,10 @@ struct LiveWorldOptions {
 ///    ("ingest.compact" fault) publishes nothing; readers stay on the
 ///    old epoch and the overlay remains intact for a retry.
 ///  - Pin() (the PoiEpochSource implementation QueryEngine reads
-///    through) is wait-free and never blocks on the writer: the same
-///    atomic-generation-pointer + reader-counter RCU protocol as
-///    QueryEngine's eps hit table, with retired epochs reclaimed only
-///    after readers are observed quiescent.
+///    through) is wait-free and never blocks on the writer: the current
+///    snapshot is a common/rcu.h Published value, republished under
+///    the writer mutex, so a retired epoch is reclaimed only after
+///    readers are observed quiescent.
 ///
 /// Correctness bar (asserted by tests/ingest_test.cc): after any
 /// interleaving of batches and compactions, queries over a pinned
@@ -171,11 +172,6 @@ class LiveWorld : public PoiEpochSource {
     std::unique_ptr<GlobalInvertedIndex> global;
   };
 
-  /// The published-snapshot holder the RCU pointer targets. Readers
-  /// copy the shared_ptr out while registered in readers_; holders are
-  /// retired (not freed) on republish and reclaimed at quiescence.
-  using SnapshotHolder = std::shared_ptr<const PoiEpochSnapshot>;
-
   // Writer-side view of the current epoch (grid/global of the current
   // arena, or the base suite when arena_ is null).
   const PoiGridIndex& CurrentGridLocked() const SOI_REQUIRES(mutex_);
@@ -215,13 +211,9 @@ class LiveWorld : public PoiEpochSource {
   int64_t ops_since_compact_ SOI_GUARDED_BY(mutex_) = 0;
   bool stop_compactor_ SOI_GUARDED_BY(mutex_) = false;
 
-  // RCU publication state (see Pin / PublishLocked). storage_'s last
-  // element is the current holder; earlier elements are retired
-  // generations a registered reader may still be copying from.
-  std::atomic<const SnapshotHolder*> current_{nullptr};
-  mutable std::atomic<int64_t> readers_{0};
-  std::vector<std::unique_ptr<const SnapshotHolder>> storage_
-      SOI_GUARDED_BY(mutex_);
+  // The current epoch, read by Pin(); published under mutex_ (see
+  // PublishLocked).
+  Published<std::shared_ptr<const PoiEpochSnapshot>> snapshot_;
 
   // Lock-free mirrors for the public accessors.
   std::atomic<uint64_t> published_epoch_{0};

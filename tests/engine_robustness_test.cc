@@ -171,7 +171,7 @@ TEST(EngineRobustnessTest, RunBatchSuccessPathIsUnchangedByHardening) {
                           instance.global_index);
   SoiQuery query = ValidQuery();
   EpsAugmentedMaps maps(instance.segment_cells, query.eps);
-  SoiResult expected = sequential.TopK(query, maps);
+  SoiResult expected = sequential.TryTopK(query, maps).ValueOrDie();
 
   QueryEngineOptions options;
   options.num_threads = 4;
@@ -273,7 +273,7 @@ TEST(EngineRobustnessTest, MixedBatchReturnsPerQueryStatuses) {
                           instance.global_index);
   auto reference = [&](const SoiQuery& query) {
     EpsAugmentedMaps maps(instance.segment_cells, query.eps);
-    return sequential.TopK(query, maps);
+    return sequential.TryTopK(query, maps).ValueOrDie();
   };
 
   for (int threads : {1, 4}) {
@@ -398,7 +398,7 @@ TEST(EngineRobustnessTest, RunBatchStillBitIdenticalAcrossThreadCounts) {
   std::vector<SoiResult> expected;
   for (const SoiQuery& query : batch) {
     EpsAugmentedMaps maps(instance.segment_cells, query.eps);
-    expected.push_back(sequential.TopK(query, maps));
+    expected.push_back(sequential.TryTopK(query, maps).ValueOrDie());
   }
   for (int threads : {1, 2, 4}) {
     QueryEngineOptions options;
@@ -406,10 +406,10 @@ TEST(EngineRobustnessTest, RunBatchStillBitIdenticalAcrossThreadCounts) {
     QueryEngine engine(instance.network, instance.grid,
                        instance.global_index, instance.segment_cells,
                        options);
-    std::vector<SoiResult> got = engine.RunBatch(batch);
+    std::vector<Result<SoiResult>> got = engine.TryRunBatch(batch);
     ASSERT_EQ(got.size(), expected.size());
     for (size_t i = 0; i < got.size(); ++i) {
-      ExpectIdenticalResults(got[i], expected[i],
+      ExpectIdenticalResults(got[i].ValueOrDie(), expected[i],
                              "threads=" + std::to_string(threads) +
                                  " query=" + std::to_string(i));
     }

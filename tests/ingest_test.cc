@@ -380,6 +380,14 @@ TEST(IngestTest, PinnedSnapshotSurvivesCompactionAndReclamation) {
     live_total += view.NumPoisInCell(cell);
   }
   EXPECT_EQ(live_total, 250 + 10 - 3);
+
+  // A released pin of the current epoch lives on only in the published
+  // holder; two republishes retire that holder and free it.
+  std::weak_ptr<const PoiEpochSnapshot> released = world.Pin();
+  EXPECT_FALSE(released.expired());
+  ASSERT_TRUE(world.ApplyBatch(more).ok());
+  ASSERT_TRUE(world.Compact().ok());
+  EXPECT_TRUE(released.expired()) << "a retired epoch was never reclaimed";
 }
 
 TEST(IngestTest, RandomizedInterleavingMatchesColdRebuildAtTheEnd) {

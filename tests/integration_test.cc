@@ -54,7 +54,7 @@ TEST_F(PipelineTest, SoiRecoversPlantedHotspots) {
   EpsAugmentedMaps maps(indexes_->segment_cells, query.eps);
   SoiAlgorithm algorithm(dataset_->network, indexes_->poi_grid,
                          indexes_->global_index);
-  SoiResult result = algorithm.TopK(query, maps);
+  SoiResult result = algorithm.TryTopK(query, maps).ValueOrDie();
   ASSERT_EQ(result.streets.size(), 10u);
 
   // The top planted hotspots must be recovered with high recall.
@@ -82,7 +82,7 @@ TEST_F(PipelineTest, TopSoiHasDescribablePhotoSet) {
   EpsAugmentedMaps maps(indexes_->segment_cells, query.eps);
   SoiAlgorithm algorithm(dataset_->network, indexes_->poi_grid,
                          indexes_->global_index);
-  SoiResult result = algorithm.TopK(query, maps);
+  SoiResult result = algorithm.TryTopK(query, maps).ValueOrDie();
   ASSERT_EQ(result.streets.size(), 1u);
   StreetId top = result.streets[0].street;
 
@@ -125,7 +125,7 @@ TEST_F(PipelineTest, MultiKeywordQueryMatchesBaseline) {
   SoiAlgorithm algorithm(dataset_->network, indexes_->poi_grid,
                          indexes_->global_index);
   SoiBaseline baseline(dataset_->network, indexes_->poi_grid);
-  SoiResult fast = algorithm.TopK(query, maps);
+  SoiResult fast = algorithm.TryTopK(query, maps).ValueOrDie();
   SoiResult slow = baseline.TopK(query, maps);
   ASSERT_EQ(fast.streets.size(), slow.streets.size());
   for (size_t i = 0; i < fast.streets.size(); ++i) {

@@ -83,7 +83,7 @@ TEST(ObsDeterminismTest, InstrumentedEngineMatchesPlainSequential) {
   std::vector<SoiResult> expected;
   for (const SoiQuery& query : queries) {
     EpsAugmentedMaps maps(instance.segment_cells, query.eps);
-    expected.push_back(sequential.TopK(query, maps));
+    expected.push_back(sequential.TryTopK(query, maps).ValueOrDie());
   }
 
   // Everything armed: trace recording active across the whole batch and
@@ -93,13 +93,13 @@ TEST(ObsDeterminismTest, InstrumentedEngineMatchesPlainSequential) {
   options.num_threads = 4;
   QueryEngine engine(instance.network, instance.grid, instance.global_index,
                      instance.segment_cells, options);
-  std::vector<SoiResult> got = engine.RunBatch(queries);
+  std::vector<Result<SoiResult>> got = engine.TryRunBatch(queries);
   obs::TraceRecorder::Global().Stop();
 
   ASSERT_EQ(got.size(), expected.size());
   for (size_t i = 0; i < got.size(); ++i) {
     SCOPED_TRACE("query " + std::to_string(i));
-    ExpectIdentical(got[i], expected[i]);
+    ExpectIdentical(got[i].ValueOrDie(), expected[i]);
   }
 
   // Sanity on the instrumentation itself: the batch must have produced

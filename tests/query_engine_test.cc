@@ -4,6 +4,7 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -102,7 +103,7 @@ TEST(QueryEngineTest, RunBatchIsBitIdenticalToSequentialAtAnyThreadCount) {
   std::vector<SoiResult> expected;
   for (const SoiQuery& query : batch) {
     EpsAugmentedMaps maps(instance.segment_cells, query.eps);
-    expected.push_back(sequential.TopK(query, maps));
+    expected.push_back(sequential.TryTopK(query, maps).ValueOrDie());
   }
 
   for (int threads : {1, 2, 4}) {
@@ -111,11 +112,11 @@ TEST(QueryEngineTest, RunBatchIsBitIdenticalToSequentialAtAnyThreadCount) {
     QueryEngine engine(instance.network, instance.grid,
                        instance.global_index, instance.segment_cells,
                        options);
-    std::vector<SoiResult> got = engine.RunBatch(batch);
+    std::vector<Result<SoiResult>> got = engine.TryRunBatch(batch);
     ASSERT_EQ(got.size(), expected.size());
     std::string label = "threads=" + std::to_string(threads);
     for (size_t i = 0; i < got.size(); ++i) {
-      ExpectIdenticalResults(got[i], expected[i],
+      ExpectIdenticalResults(got[i].ValueOrDie(), expected[i],
                              (label + " query=" + std::to_string(i)).c_str());
     }
   }
@@ -159,9 +160,9 @@ TEST(QueryEngineTest, CacheMemoizesPerEps) {
   QueryEngine engine(instance.network, instance.grid, instance.global_index,
                      instance.segment_cells, options);
 
-  auto a = engine.GetMaps(0.001);
-  auto b = engine.GetMaps(0.001);
-  auto c = engine.GetMaps(0.002);
+  auto a = engine.TryGetMaps(0.001).ValueOrDie();
+  auto b = engine.TryGetMaps(0.001).ValueOrDie();
+  auto c = engine.TryGetMaps(0.002).ValueOrDie();
   EXPECT_EQ(a.get(), b.get());  // same memoized maps object
   EXPECT_NE(a.get(), c.get());
   QueryEngine::CacheStats stats = engine.cache_stats();
@@ -178,15 +179,19 @@ TEST(QueryEngineTest, CacheEvictsLeastRecentlyUsedAtCapacity) {
   QueryEngine engine(instance.network, instance.grid, instance.global_index,
                      instance.segment_cells, options);
 
-  auto a = engine.GetMaps(0.001);  // miss
-  engine.GetMaps(0.002);           // miss
-  engine.GetMaps(0.001);           // hit; 0.002 becomes LRU
-  engine.GetMaps(0.003);           // miss, evicts 0.002
+  auto a = engine.TryGetMaps(0.001).ValueOrDie();  // miss
+  std::weak_ptr<const EpsAugmentedMaps> b =
+      engine.TryGetMaps(0.002).ValueOrDie();       // miss
+  engine.TryGetMaps(0.001).ValueOrDie();           // hit; 0.002 becomes LRU
+  engine.TryGetMaps(0.003).ValueOrDie();           // miss, evicts 0.002
   EXPECT_EQ(engine.cache_stats().evictions, 1);
-  auto a2 = engine.GetMaps(0.001);  // still cached
+  // Unreferenced evicted maps are freed: no cache entry, build future or
+  // retired hit-table generation keeps them alive.
+  EXPECT_TRUE(b.expired());
+  auto a2 = engine.TryGetMaps(0.001).ValueOrDie();  // still cached
   EXPECT_EQ(a.get(), a2.get());
   EXPECT_EQ(engine.cache_stats().hits, 2);
-  engine.GetMaps(0.002);  // was evicted: a fresh miss
+  engine.TryGetMaps(0.002).ValueOrDie();  // was evicted: a fresh miss
   EXPECT_EQ(engine.cache_stats().misses, 4);
   // The evicted shared_ptr handed out earlier remains valid for holders.
   EXPECT_EQ(a->eps(), 0.001);
@@ -224,18 +229,18 @@ TEST(QueryEngineTest, EvictionExemptsInFlightBuilds) {
   QueryEngine engine(instance.network, instance.grid, instance.global_index,
                      instance.segment_cells, options);
 
-  std::thread builder([&] { engine.GetMaps(kHotEps); });
+  std::thread builder([&] { engine.TryGetMaps(kHotEps).ValueOrDie(); });
   {
     std::unique_lock<std::mutex> lock(mutex);
     cv.wait(lock, [&] { return hot_started; });
   }
   // The hot build is in flight and the cache is at capacity. This insert
   // must NOT evict it (the cache briefly exceeds capacity instead).
-  engine.GetMaps(kPressureEps);
+  engine.TryGetMaps(kPressureEps).ValueOrDie();
 
   // A concurrent same-eps request must join the in-flight build (a hit),
   // not start a second one.
-  std::thread joiner([&] { engine.GetMaps(kHotEps); });
+  std::thread joiner([&] { engine.TryGetMaps(kHotEps).ValueOrDie(); });
   while (engine.cache_stats().hits < 1) {
     std::this_thread::yield();
   }
@@ -252,7 +257,7 @@ TEST(QueryEngineTest, EvictionExemptsInFlightBuilds) {
   EXPECT_EQ(engine.cache_stats().evictions, 0);
   // Completed entries are evictable again: a third eps now evicts the
   // LRU completed one.
-  engine.GetMaps(0.003);
+  engine.TryGetMaps(0.003).ValueOrDie();
   EXPECT_GE(engine.cache_stats().evictions, 1);
 }
 
@@ -285,10 +290,10 @@ TEST(QueryEngineTest, HammeringOneEpsAtCapacityOneNeverDuplicatesBuilds) {
         if (t == 0 && i % 5 == 4) {
           // Eviction pressure: a distinct eps per round so it always
           // misses and inserts over the hot entry's slot.
-          auto maps = engine.GetMaps(0.002 + i * 0.0001);
+          auto maps = engine.TryGetMaps(0.002 + i * 0.0001).ValueOrDie();
           ASSERT_NE(maps, nullptr);
         } else {
-          auto maps = engine.GetMaps(kHotEps);
+          auto maps = engine.TryGetMaps(kHotEps).ValueOrDie();
           ASSERT_NE(maps, nullptr);
           EXPECT_EQ(maps->eps(), kHotEps);
         }
@@ -318,16 +323,16 @@ TEST(QueryEngineTest, WarmStartSeedsTheCacheWithoutCountingMisses) {
   EXPECT_EQ(engine.cache_stats().misses, 0);
 
   // Both eps serve from the seeded maps (the identical objects).
-  EXPECT_EQ(engine.GetMaps(0.001).get(), a.get());
-  EXPECT_EQ(engine.GetMaps(0.002).get(), b.get());
+  EXPECT_EQ(engine.TryGetMaps(0.001).ValueOrDie().get(), a.get());
+  EXPECT_EQ(engine.TryGetMaps(0.002).ValueOrDie().get(), b.get());
   EXPECT_EQ(engine.cache_stats().hits, 2);
   EXPECT_EQ(engine.cache_stats().misses, 0);
 
   // Seeded entries participate in LRU like any completed entry.
-  engine.GetMaps(0.001);            // 0.002 becomes LRU
-  engine.GetMaps(0.003);            // evicts 0.002
+  engine.TryGetMaps(0.001).ValueOrDie();            // 0.002 becomes LRU
+  engine.TryGetMaps(0.003).ValueOrDie();            // evicts 0.002
   EXPECT_EQ(engine.cache_stats().evictions, 1);
-  EXPECT_EQ(engine.GetMaps(0.001).get(), a.get());
+  EXPECT_EQ(engine.TryGetMaps(0.001).ValueOrDie().get(), a.get());
 }
 
 // Pins the warm-start eviction order deterministically: untouched
@@ -350,13 +355,13 @@ TEST(QueryEngineTest, WarmStartSeedsEvictInInsertionOrderWhenUntouched) {
 
   // One capacity miss with every seed untouched: exactly the
   // first-seeded entry (a) is evicted.
-  engine.GetMaps(0.004);
+  engine.TryGetMaps(0.004).ValueOrDie();
   EXPECT_EQ(engine.cache_stats().evictions, 1);
-  EXPECT_EQ(engine.GetMaps(0.002).get(), b.get());
-  EXPECT_EQ(engine.GetMaps(0.003).get(), c.get());
+  EXPECT_EQ(engine.TryGetMaps(0.002).ValueOrDie().get(), b.get());
+  EXPECT_EQ(engine.TryGetMaps(0.003).ValueOrDie().get(), c.get());
   // a is gone: the same eps now rebuilds a fresh object (a second
   // eviction — of the now-LRU 0.004 entry — makes room).
-  EXPECT_NE(engine.GetMaps(0.001).get(), a.get());
+  EXPECT_NE(engine.TryGetMaps(0.001).ValueOrDie().get(), a.get());
   EXPECT_EQ(engine.cache_stats().evictions, 2);
   // The evicted seed handed out at construction stays valid for holders.
   EXPECT_EQ(a->eps(), 0.001);
@@ -374,11 +379,12 @@ TEST(QueryEngineTest, WarmStartServesBitIdenticalToColdEngine) {
                    instance.segment_cells, options);
   QueryEngine warm(instance.network, instance.grid, instance.global_index,
                    instance.segment_cells, options, {preloaded});
-  std::vector<SoiResult> want = cold.RunBatch(batch);
-  std::vector<SoiResult> got = warm.RunBatch(batch);
+  std::vector<Result<SoiResult>> want = cold.TryRunBatch(batch);
+  std::vector<Result<SoiResult>> got = warm.TryRunBatch(batch);
   ASSERT_EQ(got.size(), want.size());
   for (size_t i = 0; i < got.size(); ++i) {
-    ExpectIdenticalResults(got[i], want[i], "warm-vs-cold");
+    ExpectIdenticalResults(got[i].ValueOrDie(), want[i].ValueOrDie(),
+                           "warm-vs-cold");
   }
 }
 
@@ -401,7 +407,7 @@ TEST(QueryEngineTest, BatchCoalescesDuplicatesBitIdentically) {
                                instance.segment_cells, options);
   std::vector<SoiResult> expected;
   for (const SoiQuery& query : batch) {
-    expected.push_back(reference_engine.Run(query));
+    expected.push_back(reference_engine.TryRun(query).ValueOrDie());
   }
 
   QueryEngine engine(instance.network, instance.grid, instance.global_index,
@@ -471,6 +477,10 @@ TEST(QueryEngineTest, CoalescedGroupsChargeAdmissionPerLogicalQuery) {
     ASSERT_FALSE(got[i].ok()) << "query " << i;
     EXPECT_EQ(got[i].status().code(), StatusCode::kResourceExhausted)
         << "query " << i;
+    // The in-flight count its own claim observed: 4, then 5.
+    std::string shed = "shed: " + std::to_string(i + 1) + " in-flight";
+    EXPECT_NE(got[i].status().message().find(shed), std::string::npos)
+        << got[i].status().ToString();
   }
   // The shared evaluation served from the warm cache: still one build.
   EXPECT_EQ(builds.load(), 1);
@@ -505,14 +515,16 @@ TEST(QueryEngineTest, ConcurrentWarmCacheHitsServeOneMapsObject) {
   QueryEngine engine(instance.network, instance.grid, instance.global_index,
                      instance.segment_cells, options);
   SoiQuery query = MakeBatch(51, 1).front();
-  SoiResult expected = engine.Run(query);  // warms the cache (one miss)
+  // Warms the cache (one miss).
+  SoiResult expected = engine.TryRun(query).ValueOrDie();
 
   // Hammer the warm entry from many threads: every lookup must resolve
   // on the contention-free snapshot path against the one cached maps
   // object (no rebuilds — miss count stays 1), bit-identically.
   constexpr int kThreads = 8;
   constexpr int kPerThread = 4;
-  std::shared_ptr<const EpsAugmentedMaps> maps = engine.GetMaps(query.eps);
+  std::shared_ptr<const EpsAugmentedMaps> maps =
+      engine.TryGetMaps(query.eps).ValueOrDie();
   std::vector<std::thread> workers;
   std::vector<Status> failures(kThreads, Status::OK());
   for (int t = 0; t < kThreads; ++t) {
@@ -542,7 +554,8 @@ TEST(QueryEngineTest, ConcurrentWarmCacheHitsServeOneMapsObject) {
   EXPECT_EQ(stats.misses, 1);
   EXPECT_EQ(stats.evictions, 0);
   EXPECT_GE(stats.hits, kThreads * kPerThread);
-  ExpectIdenticalResults(engine.Run(query), expected, "after hammering");
+  ExpectIdenticalResults(engine.TryRun(query).ValueOrDie(), expected,
+                         "after hammering");
 }
 
 TEST(QueryEngineTest, SingleRunMatchesBatch) {
@@ -552,10 +565,10 @@ TEST(QueryEngineTest, SingleRunMatchesBatch) {
   options.num_threads = 2;
   QueryEngine engine(instance.network, instance.grid, instance.global_index,
                      instance.segment_cells, options);
-  std::vector<SoiResult> batched = engine.RunBatch(batch);
+  std::vector<Result<SoiResult>> batched = engine.TryRunBatch(batch);
   for (size_t i = 0; i < batch.size(); ++i) {
-    SoiResult single = engine.Run(batch[i]);
-    ExpectIdenticalResults(single, batched[i], "single-vs-batch");
+    SoiResult single = engine.TryRun(batch[i]).ValueOrDie();
+    ExpectIdenticalResults(single, batched[i].ValueOrDie(), "single-vs-batch");
   }
 }
 

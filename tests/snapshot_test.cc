@@ -167,8 +167,8 @@ TEST_F(SnapshotTest, WarmStartServesBitIdenticalTopK) {
 
   for (int32_t k : {1, 5, 20}) {
     SoiQuery query = MakeQuery(*dataset_, k);
-    SoiResult want = fresh.Run(query);
-    SoiResult got = warm.Run(query);
+    SoiResult want = fresh.TryRun(query).ValueOrDie();
+    SoiResult got = warm.TryRun(query).ValueOrDie();
     ASSERT_EQ(got.streets.size(), want.streets.size());
     for (size_t r = 0; r < got.streets.size(); ++r) {
       EXPECT_EQ(got.streets[r].street, want.streets[r].street);
@@ -191,7 +191,7 @@ TEST_F(SnapshotTest, WarmStartServesBitIdenticalDiversification) {
   SoiQuery query = MakeQuery(*dataset_, 1);
   QueryEngine fresh(dataset_->network, indexes_->poi_grid,
                     indexes_->global_index, indexes_->segment_cells, {});
-  StreetId top = fresh.Run(query).streets.at(0).street;
+  StreetId top = fresh.TryRun(query).ValueOrDie().streets.at(0).street;
 
   DiversifyParams params;
   params.k = 5;

@@ -135,7 +135,7 @@ TEST_P(SoiEquivalence, MatchesBaselineAcrossQueries) {
         query.keywords = KeywordSet(q);
         query.k = k;
         query.eps = eps;
-        SoiResult result = algorithm.TopK(query, maps, options);
+        SoiResult result = algorithm.TryTopK(query, maps, options).ValueOrDie();
         ExpectValidTopK(instance, query, maps, result);
       }
     }
@@ -163,7 +163,7 @@ TEST(SoiAlgorithmTest, CellSizeIndependence) {
     query.keywords = KeywordSet({0, 1});
     query.k = 8;
     query.eps = 0.002;
-    SoiResult result = algorithm.TopK(query, maps);
+    SoiResult result = algorithm.TryTopK(query, maps).ValueOrDie();
     std::vector<double> interests;
     for (const RankedStreet& entry : result.streets) {
       interests.push_back(entry.interest);
@@ -205,7 +205,7 @@ TEST(SoiAlgorithmTest, UpperBoundIsSoundThroughoutFiltering) {
     }
     EXPECT_GE(snap.upper_bound, max_unseen * (1 - 1e-12));
   };
-  SoiResult result = algorithm.TopK(query, maps, options);
+  SoiResult result = algorithm.TryTopK(query, maps, options).ValueOrDie();
   EXPECT_GT(snapshots, 0);
   ExpectValidTopK(instance, query, maps, result);
 }
@@ -227,7 +227,7 @@ TEST(SoiAlgorithmTest, LowerBoundIsSound) {
   options.observer = [&](const SoiAlgorithmOptions::FilterSnapshot& snap) {
     EXPECT_LE(snap.lower_bound, kth * (1 + 1e-12) + 1e-300);
   };
-  algorithm.TopK(query, maps, options);
+  algorithm.TryTopK(query, maps, options).ValueOrDie();
 }
 
 TEST(SoiAlgorithmTest, EmptyMatchQueryReturnsZeroInterest) {
@@ -241,7 +241,7 @@ TEST(SoiAlgorithmTest, EmptyMatchQueryReturnsZeroInterest) {
   EpsAugmentedMaps maps(instance.segment_cells, query.eps);
   SoiAlgorithm algorithm(instance.network, instance.grid,
                          instance.global_index);
-  SoiResult result = algorithm.TopK(query, maps);
+  SoiResult result = algorithm.TryTopK(query, maps).ValueOrDie();
   ASSERT_EQ(result.streets.size(), 3u);
   for (const RankedStreet& entry : result.streets) {
     EXPECT_DOUBLE_EQ(entry.interest, 0.0);
@@ -259,7 +259,7 @@ TEST(SoiAlgorithmTest, StatsAreCoherent) {
   EpsAugmentedMaps maps(instance.segment_cells, query.eps);
   SoiAlgorithm algorithm(instance.network, instance.grid,
                          instance.global_index);
-  SoiResult result = algorithm.TopK(query, maps);
+  SoiResult result = algorithm.TryTopK(query, maps).ValueOrDie();
   const SoiQueryStats& stats = result.stats;
   EXPECT_GT(stats.iterations, 0);
   EXPECT_EQ(stats.iterations, stats.cells_popped + stats.segments_popped);
@@ -285,7 +285,7 @@ TEST(SoiAlgorithmTest, PrunesWorkOnSkewedData) {
   EpsAugmentedMaps maps(instance.segment_cells, query.eps);
   SoiAlgorithm algorithm(instance.network, instance.grid,
                          instance.global_index);
-  SoiResult result = algorithm.TopK(query, maps);
+  SoiResult result = algorithm.TryTopK(query, maps).ValueOrDie();
   EXPECT_LT(result.stats.segments_seen, instance.network.num_segments());
 }
 
@@ -297,7 +297,7 @@ TEST(SoiAlgorithmDeathTest, RejectsMismatchedEps) {
   SoiQuery query;
   query.keywords = KeywordSet({0});
   query.eps = 0.002;  // != maps.eps()
-  EXPECT_DEATH(algorithm.TopK(query, maps), "eps");
+  EXPECT_DEATH(algorithm.TryTopK(query, maps).ValueOrDie(), "eps");
 }
 
 }  // namespace

@@ -136,7 +136,7 @@ TEST_P(WeightedSoiEquivalence, SoiMatchesBaselineOnWeightedData) {
       query.keywords = KeywordSet(q);
       query.k = k;
       query.eps = eps;
-      SoiResult fast = algorithm.TopK(query, maps);
+      SoiResult fast = algorithm.TryTopK(query, maps).ValueOrDie();
       SoiResult slow = baseline.TopK(query, maps);
       ASSERT_EQ(fast.streets.size(), slow.streets.size());
       for (size_t i = 0; i < fast.streets.size(); ++i) {
@@ -173,7 +173,7 @@ TEST(WeightedSoiTest, UpperBoundSoundWithWeights) {
     }
     EXPECT_GE(snap.upper_bound, max_unseen * (1 - 1e-12));
   };
-  algorithm.TopK(query, maps, options);
+  algorithm.TryTopK(query, maps, options).ValueOrDie();
 }
 
 TEST(WeightedSoiTest, WeightsSurviveIoRoundTrip) {
@@ -243,7 +243,7 @@ TEST(WeightedSoiTest, HeavyPoiDominates) {
   query.keywords = KeywordSet({1});
   query.k = 1;
   query.eps = 0.001;
-  SoiResult result = algorithm.TopK(query, maps);
+  SoiResult result = algorithm.TryTopK(query, maps).ValueOrDie();
   ASSERT_EQ(result.streets.size(), 1u);
   EXPECT_EQ(network.street(result.streets[0].street).name, "Heavy");
 }

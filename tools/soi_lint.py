@@ -47,6 +47,9 @@ lock-hygiene  No raw std::mutex / std::lock_guard / std::unique_lock /
               the runtime lock-order graph (analysis/lock_graph.h — its
               own registry lock is the allowlisted exception, since
               instrumenting the instrumenter would recurse).
+rcu           No memory_order_seq_cst in src/ outside src/common/rcu.h,
+              whose Published<T> is the one wait-free publication
+              protocol; a second hand-rolled copy must not creep back.
 layering      The src/ include graph must follow the declared layer DAG
               (LAYER_DEPS below): common sits above the analysis
               instrumentation substrate, the domain layers (geometry,
@@ -95,6 +98,7 @@ RULE_SCOPE = {
     "unchecked-io": ("src/serve",),
     "nested-vector": ("src/grid",),
     "lock-hygiene": ("src",),
+    "rcu": ("src",),
 }
 
 # Per-rule basename glob: the rule only applies to matching files (both
@@ -123,6 +127,7 @@ ALLOWLIST = {
         "src/analysis/lock_graph.h",
         "src/analysis/lock_graph.cc",
     ],
+    "rcu": ["src/common/rcu.h"],
 }
 
 # Never scanned: lint self-test fixtures (they plant violations).
@@ -167,6 +172,7 @@ RULE_PATTERNS = {
         r"|shared_mutex|shared_timed_mutex|lock_guard|scoped_lock"
         r"|unique_lock|shared_lock|condition_variable(?:_any)?)\b"
     ),
+    "rcu": re.compile(r"\bmemory_order_seq_cst\b"),
 }
 
 RULE_MESSAGES = {
@@ -202,6 +208,7 @@ RULE_MESSAGES = {
         "MutexLock / CondVar (common/mutex.h) so the critical section is "
         "visible to the thread-safety analysis and the lock-order graph"
     ),
+    "rcu": "seq_cst outside common/rcu.h; publish through Published<T>",
 }
 
 # The declared layer DAG over src/ subdirectories: layer -> layers it

@@ -41,6 +41,7 @@ class TextRuleTest(unittest.TestCase):
         ("bad_unchecked_io.cc", "unchecked-io", 8),
         ("bad_nested_vector.h", "nested-vector", 10),
         ("bad_lock_hygiene.cc", "lock-hygiene", 5),
+        ("bad_rcu.cc", "rcu", 5),
     ]
 
     def test_each_rule_fires_once_on_its_fixture(self):
