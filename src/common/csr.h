@@ -17,9 +17,9 @@ namespace soi {
 /// pointer chase into a separately allocated block.
 ///
 /// Row contents and row count are immutable once built; builders either
-/// append rows in order (AppendRow) or pre-size from exact per-row counts
-/// (FromRowCounts + cursor fill, the pattern the deterministic parallel
-/// inversion uses).
+/// stream rows in order (PushValue + FinishRow), adopt finished offsets
+/// and values, or pre-size from exact per-row counts (FromRowCounts +
+/// cursor fill, the pattern the deterministic parallel builds use).
 template <typename T>
 class CsrArray {
  public:
@@ -66,39 +66,10 @@ class CsrArray {
   }
 
   /// Streaming builder: appends one value to the row currently under
-  /// construction; FinishRow() seals it. Interleaving with AppendRow is
-  /// fine as long as every pushed value is sealed by a FinishRow before
-  /// the next row starts.
+  /// construction; FinishRow() seals it.
   void PushValue(T value) { values_.push_back(std::move(value)); }
   void FinishRow() {
     offsets_.push_back(static_cast<int64_t>(values_.size()));
-  }
-
-  /// Appends one row (must be called in row order; rows are final once
-  /// appended).
-  void AppendRow(const T* data, size_t size) {
-    values_.insert(values_.end(), data, data + size);
-    offsets_.push_back(static_cast<int64_t>(values_.size()));
-  }
-  void AppendRow(const std::vector<T>& row) {
-    AppendRow(row.data(), row.size());
-  }
-
-  /// Appends the values of another CSR array wholesale, preserving its row
-  /// boundaries (chunk-merge step of parallel construction).
-  void AppendAll(const CsrArray& other) {
-    int64_t base = offsets_.back();
-    values_.insert(values_.end(), other.values_.begin(),
-                   other.values_.end());
-    offsets_.reserve(offsets_.size() + other.num_rows());
-    for (size_t r = 1; r < other.offsets_.size(); ++r) {
-      offsets_.push_back(base + other.offsets_[r]);
-    }
-  }
-
-  void Reserve(size_t rows, size_t values) {
-    offsets_.reserve(rows + 1);
-    values_.reserve(values);
   }
 
   int64_t num_rows() const {

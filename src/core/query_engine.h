@@ -255,6 +255,14 @@ class QueryEngine {
   };
   using HitTable = std::unordered_map<double, HitEntry>;
 
+  /// The near-cell superset every eps <= near_cells_cap_ is filtered
+  /// from, built on the first such miss with `cancel` (may be null) on
+  /// pool_. Concurrent first misses share one build. A cancelled or
+  /// faulted build returns its Status and leaves nothing behind, so the
+  /// next miss builds again.
+  Result<const SegmentNearCells*> TryGetNearCells(
+      const CancellationToken* cancel) SOI_EXCLUDES(cache_mutex_);
+
   /// Republishes hit_table_ from the completed entries of cache_.
   void RebuildHitTableLocked() SOI_REQUIRES(cache_mutex_);
 
@@ -294,6 +302,15 @@ class QueryEngine {
   // are limited to map bookkeeping.
   mutable Mutex cache_mutex_{"core.QueryEngine.eps_cache",
                              lock_graph::kRankLeaf};
+  // The superset cap: a fixed multiple of the grid cell size (see
+  // query_engine.cc). Larger eps build from geometry.
+  const double near_cells_cap_;
+  // Set once, by the build that succeeded; immutable and alive until the
+  // engine is destroyed, so the pointer is used outside the lock.
+  std::unique_ptr<const SegmentNearCells> near_cells_
+      SOI_GUARDED_BY(cache_mutex_);
+  // Valid while a superset build is in flight; its waiters block on it.
+  std::shared_future<Status> near_cells_build_ SOI_GUARDED_BY(cache_mutex_);
   std::unordered_map<double, CacheEntry> cache_ SOI_GUARDED_BY(cache_mutex_);
   // Fast-path view (null until the first entry completes); published
   // under cache_mutex_.

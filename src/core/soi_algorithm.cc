@@ -56,7 +56,6 @@ struct SoiScratchPool {
     std::vector<double> street_best;
     std::vector<GlobalInvertedIndex::Entry> sl1;
     std::vector<double> cell_relevant_bound;
-    std::vector<SegmentId> sl2;
     std::vector<double> lbk;
     GlobalInvertedIndex::QueryCellScratch cell_list;
     // FinalizeSegment parallel path.
@@ -253,7 +252,7 @@ class Run {
         street_best_(s_.street_best),
         sl1_(s_.sl1),
         cell_relevant_bound_(s_.cell_relevant_bound),
-        sl2_(s_.sl2) {
+        sl2_(maps.SegmentsByCellCount()) {
     const size_t num_segments =
         static_cast<size_t>(network.num_segments());
     seen_.assign(num_segments, 0);
@@ -329,8 +328,8 @@ class Run {
   // Relevant-weight upper bound per cell (0 for cells off SL1), for the
   // pruned refinement. Dense: indexed by CellId.
   std::vector<double>& cell_relevant_bound_;
-  // SL2: segments by decreasing |C_eps(l)|.
-  std::vector<SegmentId>& sl2_;
+  // SL2: segments by decreasing |C_eps(l)|, stored with the maps.
+  const Span<SegmentId> sl2_;
 
   size_t sl1_pos_ = 0;
   size_t sl2_pos_ = 0;
@@ -456,20 +455,8 @@ void Run::BuildSourceLists() {
   for (const GlobalInvertedIndex::Entry& entry : sl1_) {
     cell_relevant_bound_[static_cast<size_t>(entry.cell)] = entry.weight;
   }
-  // SL2: all segments by decreasing |C_eps(l)| (built at query time: the
-  // augmentation depends on eps). Ties by ascending id for determinism.
-  sl2_.resize(static_cast<size_t>(network_.num_segments()));
-  for (SegmentId id = 0; id < network_.num_segments(); ++id) {
-    sl2_[static_cast<size_t>(id)] = id;
-  }
-  ParallelSort(options_.pool, sl2_.begin(), sl2_.end(),
-               [this](SegmentId a, SegmentId b) {
-                 int64_t ca = maps_.NumSegmentCells(a);
-                 int64_t cb = maps_.NumSegmentCells(b);
-                 if (ca != cb) return ca > cb;
-                 return a < b;
-               });
-  // SL3 (sl3_) is the offline by-length list, shared across queries.
+  // SL2 is the maps' stored order (it depends only on eps), and SL3
+  // (sl3_) the offline by-length list, shared across queries.
 }
 
 void Run::SkipSeenSegments() {

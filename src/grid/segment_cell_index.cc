@@ -46,34 +46,126 @@ void InvertSegmentCells(const CsrArray<CellId>& segment_cells,
   });
 }
 
-// Builds per-segment rows [lo, hi) of `build_row` into chunk-local CSR
-// parts merged in chunk order: concatenating rows in segment order makes
-// the merged arena independent of the chunking, hence of the thread
-// count.
-template <typename BuildRow>
-CsrArray<CellId> BuildSegmentRows(int64_t num_segments, ThreadPool* pool,
-                                  BuildRow&& build_row) {
-  int threads = pool ? pool->num_threads() : 1;
-  const int64_t chunks =
-      std::max<int64_t>(1, std::min<int64_t>(threads, num_segments));
-  std::vector<CsrArray<CellId>> parts(static_cast<size_t>(chunks));
-  ParallelFor(pool, 0, chunks, [&](int64_t c) {
-    CsrArray<CellId>& part = parts[static_cast<size_t>(c)];
-    const int64_t lo = c * num_segments / chunks;
-    const int64_t hi = (c + 1) * num_segments / chunks;
-    for (int64_t id = lo; id < hi; ++id) {
-      build_row(static_cast<SegmentId>(id), &part);
-      part.FinishRow();
-    }
-  });
-  size_t total_values = 0;
-  for (const auto& part : parts) {
-    total_values += static_cast<size_t>(part.num_values());
+// SL2 (Section 3.2.2): row ids by decreasing row size, ties by ascending
+// id — the order a comparison sort on (size desc, id asc) yields, computed
+// as a stable counting sort in O(rows + largest row).
+std::vector<SegmentId> OrderByDecreasingRowSize(const CsrArray<CellId>& rows) {
+  int64_t max_size = 0;
+  for (int64_t r = 0; r < rows.num_rows(); ++r) {
+    max_size = std::max(max_size, rows.RowSize(r));
   }
-  CsrArray<CellId> merged;
-  merged.Reserve(static_cast<size_t>(num_segments), total_values);
-  for (const auto& part : parts) merged.AppendAll(part);
-  return merged;
+  // starts[max_size - size] is the next output slot for rows of `size`.
+  std::vector<int64_t> starts(static_cast<size_t>(max_size) + 1, 0);
+  for (int64_t r = 0; r < rows.num_rows(); ++r) {
+    ++starts[static_cast<size_t>(max_size - rows.RowSize(r))];
+  }
+  int64_t next = 0;
+  for (int64_t& start : starts) {
+    const int64_t count = start;
+    start = next;
+    next += count;
+  }
+  std::vector<SegmentId> order(static_cast<size_t>(rows.num_rows()));
+  for (int64_t r = 0; r < rows.num_rows(); ++r) {
+    const size_t bucket = static_cast<size_t>(max_size - rows.RowSize(r));
+    order[static_cast<size_t>(starts[bucket]++)] = static_cast<SegmentId>(r);
+  }
+  return order;
+}
+
+// Segments per build chunk: chunks are staged in waves of one chunk per
+// thread, so staging stays a small slice of the result.
+constexpr int64_t kSegmentsPerChunk = 512;
+
+struct NearCellRows {
+  CsrArray<CellId> cells;
+  std::vector<double> distances;  // parallel to cells.values()
+};
+
+// The one dilation loop: per segment, the cells within `cap` of it, in
+// ForEachCellInBox (ascending cell id) order, with their exact
+// SegmentBoxDistance. Each wave stages one chunk per thread in parallel,
+// then appends the chunks in segment order, so the result does not
+// depend on the thread count. The result arrays reserve the probe-box
+// cell count up front — an upper bound that stays virtual except for the
+// pages written — so rows land in place with no growth copy and the
+// build never holds a second copy of the result. `cancel` (may be null)
+// is checked once per segment.
+NearCellRows BuildNearCellRows(const RoadNetwork& network,
+                               const GridGeometry& geometry, double cap,
+                               ThreadPool* pool,
+                               const CancellationToken* cancel) {
+  // Probe one cell beyond cap so a cell at distance exactly cap across a
+  // boundary is still visited; SegmentBoxDistance returns 0.0 identically
+  // when the segment touches the (closed) box.
+  auto probe_of = [&](int64_t id) {
+    return network.segment(static_cast<SegmentId>(id))
+        .geometry.BoundingBox()
+        .Expanded(cap + geometry.cell_size());
+  };
+  const int64_t num_segments = network.num_segments();
+  int64_t bound = 0;
+  for (int64_t id = 0; id < num_segments; ++id) {
+    const Box probe = probe_of(id);
+    const CellCoord lo = geometry.CoordOf(probe.min);
+    const CellCoord hi = geometry.CoordOf(probe.max);
+    bound += int64_t{hi.ix - lo.ix + 1} * int64_t{hi.iy - lo.iy + 1};
+  }
+  std::vector<int64_t> offsets;
+  offsets.reserve(static_cast<size_t>(num_segments) + 1);
+  offsets.push_back(0);
+  std::vector<CellId> cells;
+  cells.reserve(static_cast<size_t>(bound));
+  NearCellRows rows;
+  rows.distances.reserve(static_cast<size_t>(bound));
+
+  struct Chunk {
+    std::vector<int64_t> row_sizes;
+    std::vector<CellId> cells;
+    std::vector<double> distances;
+  };
+  const int64_t num_chunks =
+      (num_segments + kSegmentsPerChunk - 1) / kSegmentsPerChunk;
+  const int64_t wave = pool != nullptr ? pool->num_threads() : 1;
+  std::vector<Chunk> staging(static_cast<size_t>(wave));
+  for (int64_t first = 0; first < num_chunks; first += wave) {
+    const int64_t last = std::min(num_chunks, first + wave);
+    ParallelFor(pool, first, last, [&](int64_t c) {
+      Chunk& chunk = staging[static_cast<size_t>(c - first)];
+      chunk.row_sizes.clear();
+      chunk.cells.clear();
+      chunk.distances.clear();
+      const int64_t lo = c * kSegmentsPerChunk;
+      const int64_t hi = std::min(num_segments, lo + kSegmentsPerChunk);
+      for (int64_t id = lo; id < hi; ++id) {
+        if (cancel != nullptr) ThrowIfCancelled(*cancel);
+        const Segment& seg =
+            network.segment(static_cast<SegmentId>(id)).geometry;
+        const size_t row_start = chunk.cells.size();
+        geometry.ForEachCellInBox(probe_of(id), [&](CellId cell) {
+          const double distance =
+              SegmentBoxDistance(seg, geometry.CellBox(cell));
+          if (distance <= cap) {
+            chunk.cells.push_back(cell);
+            chunk.distances.push_back(distance);
+          }
+        });
+        chunk.row_sizes.push_back(
+            static_cast<int64_t>(chunk.cells.size() - row_start));
+      }
+    });
+    for (int64_t c = first; c < last; ++c) {
+      const Chunk& chunk = staging[static_cast<size_t>(c - first)];
+      for (int64_t size : chunk.row_sizes) {
+        offsets.push_back(offsets.back() + size);
+      }
+      cells.insert(cells.end(), chunk.cells.begin(), chunk.cells.end());
+      rows.distances.insert(rows.distances.end(), chunk.distances.begin(),
+                            chunk.distances.end());
+    }
+  }
+  rows.cells = CsrArray<CellId>(std::move(offsets), std::move(cells));
+  return rows;
 }
 
 }  // namespace
@@ -83,24 +175,11 @@ SegmentCellIndex::SegmentCellIndex(const RoadNetwork& network,
     : geometry_(std::move(geometry)), network_(&network) {
   SOI_TRACE_SPAN("grid.build_segment_cells");
   Stopwatch build_timer;
-  segment_cells_ = BuildSegmentRows(
-      network.num_segments(), pool,
-      [&](SegmentId id, CsrArray<CellId>* row) {
-        const Segment& seg = network.segment(id).geometry;
-        // Probe one cell beyond the segment MBR so cells the segment
-        // merely touches on a shared boundary are not missed; the exact
-        // distance test below filters the rest out.
-        Box probe = seg.BoundingBox().Expanded(geometry_.cell_size());
-        geometry_.ForEachCellInBox(probe, [&](CellId cell) {
-          // Exact zero: SegmentBoxDistance returns 0.0 identically when
-          // the segment touches the (closed) box.
-          // soi-lint: float-eq
-          if (SegmentBoxDistance(seg, geometry_.CellBox(cell)) == 0.0) {
-            row->PushValue(cell);
-          }
-        });
-        // ForEachCellInBox iterates row-major, so the row is sorted.
-      });
+  // The cells at distance 0: the near cells at cap 0 (distances are
+  // never negative, so `<= 0` is the exact touch test).
+  segment_cells_ = BuildNearCellRows(network, geometry_, 0.0, pool,
+                                     /*cancel=*/nullptr)
+                       .cells;
   InvertSegmentCells(segment_cells_, geometry_.num_cells(), pool,
                      &cell_segments_);
   SOI_OBS_COUNTER_ADD("soi.index.segment_cells_builds", 1);
@@ -123,35 +202,72 @@ SegmentCellIndex::SegmentCellIndex(const RoadNetwork& network,
                      &cell_segments_);
 }
 
-EpsAugmentedMaps::EpsAugmentedMaps(const SegmentCellIndex& base, double eps,
+SegmentNearCells::SegmentNearCells(const SegmentCellIndex& base, double cap,
                                    ThreadPool* pool,
                                    const CancellationToken* cancel)
-    : eps_(eps), geometry_(&base.geometry()) {
-  SOI_CHECK(eps >= 0) << "eps must be non-negative";
+    : base_(&base), cap_(cap) {
+  SOI_CHECK(cap >= 0) << "eps must be non-negative (near-cell cap " << cap
+                      << ")";
+  SOI_TRACE_SPAN("grid.near_cells");
+  Stopwatch build_timer;
+  NearCellRows rows =
+      BuildNearCellRows(base.network(), base.geometry(), cap, pool, cancel);
+  cells_ = std::move(rows.cells);
+  distances_ = std::move(rows.distances);
+  SOI_OBS_COUNTER_ADD("soi.index.near_cells_builds", 1);
+  SOI_OBS_HISTOGRAM_OBSERVE("soi.index.near_cells_build_seconds",
+                            build_timer.ElapsedSeconds());
+}
+
+int64_t SegmentNearCells::RetainedBytes() const {
+  return static_cast<int64_t>(
+      cells_.offsets().size() * sizeof(int64_t) +
+      cells_.values().size() * sizeof(CellId) +
+      distances_.size() * sizeof(double));
+}
+
+EpsAugmentedMaps::EpsAugmentedMaps(const SegmentNearCells& near, double eps,
+                                   ThreadPool* pool,
+                                   const CancellationToken* cancel)
+    : eps_(eps), geometry_(&near.base().geometry()) {
+  SOI_CHECK(eps >= 0 && eps <= near.cap())
+      << "eps " << eps << " outside the near-cell range [0, " << near.cap()
+      << "]";
   SOI_TRACE_SPAN("grid.eps_augment");
   Stopwatch build_timer;
-  const RoadNetwork& network = base.network();
-  segment_cells_ = BuildSegmentRows(
-      network.num_segments(), pool,
-      [&](SegmentId id, CsrArray<CellId>* row) {
-        if (cancel != nullptr) ThrowIfCancelled(*cancel);
-        const Segment& seg = network.segment(id).geometry;
-        // Pad by one cell beyond eps for the same boundary-touch reason
-        // as in SegmentCellIndex (distance exactly eps to a cell across
-        // a boundary).
-        Box probe = seg.BoundingBox().Expanded(eps + geometry_->cell_size());
-        geometry_->ForEachCellInBox(probe, [&](CellId cell) {
-          if (SegmentBoxDistance(seg, geometry_->CellBox(cell)) <= eps) {
-            row->PushValue(cell);
-          }
-        });
-      });
-  InvertSegmentCells(segment_cells_, geometry_->num_cells(), pool,
-                     &cell_segments_);
+  // Count, size exactly, then fill in place: the near rows are already in
+  // ForEachCellInBox order, so keeping `distance <= eps` in stored order
+  // reproduces the geometric build's rows byte for byte.
+  const int64_t num_segments = near.base().network().num_segments();
+  std::vector<int64_t> counts(static_cast<size_t>(num_segments));
+  ParallelFor(pool, 0, num_segments, [&](int64_t id) {
+    if (cancel != nullptr) ThrowIfCancelled(*cancel);
+    int64_t kept = 0;
+    for (double distance : near.Distances(static_cast<SegmentId>(id))) {
+      kept += distance <= eps ? 1 : 0;
+    }
+    counts[static_cast<size_t>(id)] = kept;
+  });
+  segment_cells_ = CsrArray<CellId>::FromRowCounts(counts);
+  ParallelFor(pool, 0, num_segments, [&](int64_t id) {
+    Span<CellId> cells = near.Cells(static_cast<SegmentId>(id));
+    Span<double> distances = near.Distances(static_cast<SegmentId>(id));
+    CellId* out = segment_cells_.mutable_row(id);
+    for (size_t i = 0; i < cells.size(); ++i) {
+      if (distances[i] <= eps) *out++ = cells[i];
+    }
+  });
+  FinishRows(pool);
   SOI_OBS_COUNTER_ADD("soi.index.eps_augment_builds", 1);
   SOI_OBS_HISTOGRAM_OBSERVE("soi.index.eps_augment_seconds",
                             build_timer.ElapsedSeconds());
 }
+
+EpsAugmentedMaps::EpsAugmentedMaps(const SegmentCellIndex& base, double eps,
+                                   ThreadPool* pool,
+                                   const CancellationToken* cancel)
+    : EpsAugmentedMaps(SegmentNearCells(base, eps, pool, cancel), eps, pool,
+                       cancel) {}
 
 EpsAugmentedMaps::EpsAugmentedMaps(const SegmentCellIndex& base, double eps,
                                    CsrArray<CellId> segment_cells,
@@ -164,8 +280,13 @@ EpsAugmentedMaps::EpsAugmentedMaps(const SegmentCellIndex& base, double eps,
       << "adopted eps cell lists do not match the network: "
       << segment_cells_.num_rows() << " rows for "
       << base.network().num_segments() << " segments";
+  FinishRows(pool);
+}
+
+void EpsAugmentedMaps::FinishRows(ThreadPool* pool) {
   InvertSegmentCells(segment_cells_, geometry_->num_cells(), pool,
                      &cell_segments_);
+  sl2_order_ = OrderByDecreasingRowSize(segment_cells_);
 }
 
 }  // namespace soi

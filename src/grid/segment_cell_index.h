@@ -1,6 +1,9 @@
 #ifndef SOI_GRID_SEGMENT_CELL_INDEX_H_
 #define SOI_GRID_SEGMENT_CELL_INDEX_H_
 
+#include <cstdint>
+#include <vector>
+
 #include "common/cancellation.h"
 #include "common/csr.h"
 #include "common/span.h"
@@ -69,17 +72,78 @@ class SegmentCellIndex {
   CsrArray<SegmentId> cell_segments_;
 };
 
+/// Per segment, the grid cells within distance `cap` of it, each with its
+/// exact SegmentBoxDistance: the superset every EpsAugmentedMaps with
+/// eps <= cap is filtered from (DESIGN.md "Eps maps as a filter").
+/// Geometry is fixed, so QueryEngine builds this once and turns each later
+/// eps-map build into a scan of stored doubles.
+///
+/// Rows list cells in ascending cell id — the order ForEachCellInBox
+/// visits them — and Distances(id)[i] belongs to Cells(id)[i]. Storage is
+/// SoA: one CSR arena of CellIds plus one parallel array of doubles
+/// sharing its offsets, 12 bytes per entry with no padding.
+class SegmentNearCells {
+ public:
+  /// `pool` (may be null) parallelizes the build; the result is
+  /// bit-identical for every thread count. `cancel` (may be null) is
+  /// checked once per segment; a fired token aborts construction by
+  /// throwing CancelledError (see EpsAugmentedMaps). Requires cap >= 0.
+  SegmentNearCells(const SegmentCellIndex& base, double cap,
+                   ThreadPool* pool = nullptr,
+                   const CancellationToken* cancel = nullptr);
+
+  double cap() const { return cap_; }
+  const SegmentCellIndex& base() const { return *base_; }
+
+  /// Cells within cap of segment `id`, ascending by cell id.
+  Span<CellId> Cells(SegmentId id) const { return cells_.Row(id); }
+
+  /// Exact segment-to-cell distances, parallel to Cells(id).
+  Span<double> Distances(SegmentId id) const {
+    const size_t begin =
+        static_cast<size_t>(cells_.offsets()[static_cast<size_t>(id)]);
+    return Span<double>(distances_.data() + begin,
+                        static_cast<size_t>(cells_.RowSize(id)));
+  }
+
+  /// Number of stored (cell, distance) entries over all segments.
+  int64_t num_entries() const { return cells_.num_values(); }
+
+  /// Bytes held by the arenas (offsets, cell ids, distances).
+  int64_t RetainedBytes() const;
+
+ private:
+  const SegmentCellIndex* base_;
+  double cap_;
+  CsrArray<CellId> cells_;
+  std::vector<double> distances_;
+};
+
 /// The query-time eps augmentation of the maps: C_eps(l) = cells within
 /// distance eps of segment l, and L_eps(c) = segments within distance eps
 /// of cell c (Section 3.2.1). Constructed once per (dataset, eps); its
 /// construction cost is part of the list-construction phase the paper
 /// reports in Figure 4, and is the cost QueryEngine memoizes per eps.
+///
+/// Every constructor also stores the SL2 order (Section 3.2.2): all
+/// segments by decreasing |C_eps(l)|, ties by ascending id. It is a pure
+/// function of the rows, so queries read it instead of sorting.
 class EpsAugmentedMaps {
  public:
-  /// `pool` (may be null) parallelizes the per-segment eps dilation and
-  /// the inversion into L_eps(c); the result is bit-identical to the
-  /// sequential construction for every thread count. `cancel` (may be
-  /// null) is checked once per segment during the dilation pass; a fired
+  /// The filter path: keeps, per segment, the cells of `near` with
+  /// distance <= eps, in their stored order. Requires
+  /// 0 <= eps <= near.cap(); the rows are byte-equal to the geometric
+  /// build for the same eps (DESIGN.md "Eps maps as a filter"). `pool`
+  /// (may be null) parallelizes the filter and the inversion into
+  /// L_eps(c); `cancel` (may be null) is checked once per segment.
+  EpsAugmentedMaps(const SegmentNearCells& near, double eps,
+                   ThreadPool* pool = nullptr,
+                   const CancellationToken* cancel = nullptr);
+
+  /// The geometric path: builds SegmentNearCells at cap = eps, then
+  /// filters it. `pool` (may be null) parallelizes every pass; the result
+  /// is bit-identical to the sequential construction for every thread
+  /// count. `cancel` (may be null) is checked once per segment; a fired
   /// token aborts construction by throwing CancelledError, which the
   /// serving path (QueryEngine::TryRun) converts back to a Status — this
   /// is the one sanctioned use of exceptions besides parallel-chunk
@@ -115,15 +179,22 @@ class EpsAugmentedMaps {
     return segment_cells_.RowSize(id);
   }
 
+  /// SL2: every segment by decreasing |C_eps(l)|, ties by ascending id.
+  Span<SegmentId> SegmentsByCellCount() const { return sl2_order_; }
+
   /// The full segment -> cells arena (snapshot writer, determinism
   /// tests).
   const CsrArray<CellId>& segment_cells() const { return segment_cells_; }
 
  private:
+  // Derives L_eps(c) and the SL2 order from segment_cells_.
+  void FinishRows(ThreadPool* pool);
+
   double eps_;
   const GridGeometry* geometry_;
   CsrArray<CellId> segment_cells_;
   CsrArray<SegmentId> cell_segments_;
+  std::vector<SegmentId> sl2_order_;
 };
 
 }  // namespace soi

@@ -4,6 +4,7 @@
 // reference build.
 
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/csr.h"
@@ -38,15 +39,6 @@ TEST(CsrArrayTest, StreamingBuilderMatchesFromRows) {
     streamed.FinishRow();
   }
   EXPECT_EQ(streamed, CsrArray<int>::FromRows(rows));
-}
-
-TEST(CsrArrayTest, AppendAllRebasesOffsets) {
-  CsrArray<int> a = CsrArray<int>::FromRows({{1}, {2, 3}});
-  CsrArray<int> b = CsrArray<int>::FromRows({{}, {4}});
-  CsrArray<int> merged;
-  merged.AppendAll(a);
-  merged.AppendAll(b);
-  EXPECT_EQ(merged, CsrArray<int>::FromRows({{1}, {2, 3}, {}, {4}}));
 }
 
 TEST(CsrArrayTest, FromRowCountsAllocatesZeroedRows) {
@@ -98,14 +90,28 @@ TEST(CsrLayoutDeterminismTest, EpsMapsIdenticalAcrossThreads) {
   GridGeometry geometry = GeometryFor(network, 0.0035);
   SegmentCellIndex base(network, geometry);
   EpsAugmentedMaps reference(base, 0.006, /*pool=*/nullptr);
-  for (int threads : {2, 8}) {
+  SegmentNearCells reference_near(base, 2 * geometry.cell_size(),
+                                  /*pool=*/nullptr);
+  for (int threads : {1, 2, 8}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
     ThreadPool pool(threads);
     EpsAugmentedMaps parallel(base, 0.006, &pool);
-    EXPECT_EQ(parallel.segment_cells(), reference.segment_cells())
-        << threads << " threads";
-    for (CellId cell = 0; cell < geometry.num_cells(); ++cell) {
-      ASSERT_EQ(parallel.CellSegments(cell), reference.CellSegments(cell))
-          << "cell " << cell << ", " << threads << " threads";
+    // The filter path: the superset and the maps filtered from it.
+    SegmentNearCells near(base, 2 * geometry.cell_size(), &pool);
+    ASSERT_EQ(near.num_entries(), reference_near.num_entries());
+    for (SegmentId id = 0; id < network.num_segments(); ++id) {
+      ASSERT_EQ(near.Cells(id), reference_near.Cells(id)) << "segment " << id;
+      ASSERT_EQ(near.Distances(id), reference_near.Distances(id))
+          << "segment " << id;
+    }
+    EpsAugmentedMaps filtered(near, 0.006, &pool);
+    for (const EpsAugmentedMaps* maps : {&parallel, &filtered}) {
+      EXPECT_EQ(maps->segment_cells(), reference.segment_cells());
+      for (CellId cell = 0; cell < geometry.num_cells(); ++cell) {
+        ASSERT_EQ(maps->CellSegments(cell), reference.CellSegments(cell))
+            << "cell " << cell;
+      }
+      EXPECT_EQ(maps->SegmentsByCellCount(), reference.SegmentsByCellCount());
     }
   }
 }

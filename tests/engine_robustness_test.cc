@@ -133,15 +133,23 @@ TEST(EngineRobustnessTest, ExpiredDeadlineReturnsDeadlineExceeded) {
   EXPECT_EQ(delta.CounterOr0("soi.engine.deadline_exceeded"), 1);
 
   // An expired deadline observed during the maps build (TryGetMaps) must
-  // not leave a half-built cache entry behind.
+  // not leave a half-built cache entry behind. This is the engine's first
+  // miss, and 0.004 is within the near-cell cap (two 0.003 cells), so the
+  // expired token also aborts the superset build.
+  before = obs::Registry::Global().Snapshot();
   auto maps = engine.TryGetMaps(0.004, &expired);
   ASSERT_FALSE(maps.ok());
   EXPECT_EQ(maps.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_EQ(engine.cache_size(), 0u);
+  delta = obs::Registry::Global().Snapshot().Since(before);
+  EXPECT_EQ(delta.CounterOr0("soi.index.near_cells_builds"), 0);
 
-  // The same eps builds fine afterwards.
+  // The same eps builds fine afterwards, superset included: the failed
+  // attempt kept none to reuse.
   EXPECT_TRUE(engine.TryGetMaps(0.004).ok());
   EXPECT_EQ(engine.cache_size(), 1u);
+  delta = obs::Registry::Global().Snapshot().Since(before);
+  EXPECT_EQ(delta.CounterOr0("soi.index.near_cells_builds"), 1);
 }
 
 TEST(EngineRobustnessTest, CancellationMidFilteringReturnsCancelled) {

@@ -1,6 +1,7 @@
 #include "core/query_engine.h"
 
 #include <atomic>
+#include <cmath>
 #include <condition_variable>
 #include <memory>
 #include <mutex>
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "core/soi_algorithm.h"
 #include "gtest/gtest.h"
@@ -386,6 +388,88 @@ TEST(QueryEngineTest, WarmStartServesBitIdenticalToColdEngine) {
     ExpectIdenticalResults(got[i].ValueOrDie(), want[i].ValueOrDie(),
                            "warm-vs-cold");
   }
+}
+
+// The engine filters eps up to two grid cells (0.006 here) from its
+// near-cell superset and builds larger eps from geometry. Maps and
+// answers just below, at and just above that cap are bit-identical to the
+// sequential reference over freshly built maps.
+TEST(QueryEngineTest, AnswersAroundTheNearCellCapMatchFreshMaps) {
+  Instance instance(41, 0.003, 500, 6);
+  const double cap = 2 * instance.geometry.cell_size();
+  SoiAlgorithm sequential(instance.network, instance.grid,
+                          instance.global_index);
+  QueryEngineOptions options;
+  options.num_threads = 2;
+  QueryEngine engine(instance.network, instance.grid, instance.global_index,
+                     instance.segment_cells, options);
+  for (double eps : {std::nextafter(cap, 0.0), cap, std::nextafter(cap, 1.0)}) {
+    const std::string label = "eps " + FormatDouble(eps);
+    EpsAugmentedMaps fresh(instance.segment_cells, eps);
+    std::shared_ptr<const EpsAugmentedMaps> maps =
+        engine.TryGetMaps(eps).ValueOrDie();
+    EXPECT_EQ(maps->segment_cells(), fresh.segment_cells()) << label;
+    EXPECT_EQ(maps->SegmentsByCellCount(), fresh.SegmentsByCellCount())
+        << label;
+    for (SoiQuery query : MakeBatch(43, 6)) {
+      query.eps = eps;
+      ExpectIdenticalResults(engine.TryRun(query).ValueOrDie(),
+                             sequential.TryTopK(query, fresh).ValueOrDie(),
+                             label.c_str());
+    }
+  }
+}
+
+// Distinct-eps misses within the cap, concurrent ones included, share one
+// superset build.
+TEST(QueryEngineTest, DistinctEpsMissesShareOneNearCellBuild) {
+  Instance instance(43, 0.003, 300, 6);
+  QueryEngineOptions options;
+  options.num_threads = 4;
+  options.eps_cache_capacity = 2;
+  QueryEngine engine(instance.network, instance.grid, instance.global_index,
+                     instance.segment_cells, options);
+  obs::MetricsSnapshot before = obs::Registry::Global().Snapshot();
+  std::vector<SoiQuery> batch = MakeBatch(47, 8);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    batch[i].eps = 0.0005 * static_cast<double>(i + 1);  // up to 0.004
+  }
+  for (const Result<SoiResult>& result : engine.TryRunBatch(batch)) {
+    ASSERT_TRUE(result.ok());
+  }
+  for (int i = 1; i <= 11; ++i) {  // up to 0.00551
+    ASSERT_TRUE(engine.TryGetMaps(0.0005 * i + 0.00001).ok());
+  }
+  obs::MetricsSnapshot delta =
+      obs::Registry::Global().Snapshot().Since(before);
+  EXPECT_EQ(engine.cache_stats().misses, 19);
+  EXPECT_EQ(delta.CounterOr0("soi.index.near_cells_builds"), 1);
+}
+
+// A warm-started engine that only serves its preloaded eps never misses,
+// so it never builds the superset.
+TEST(QueryEngineTest, WarmEngineServingPreloadedEpsBuildsNoNearCells) {
+  Instance instance(45, 0.003, 400, 6);
+  auto a = std::make_shared<const EpsAugmentedMaps>(instance.segment_cells,
+                                                    0.0008);
+  auto b = std::make_shared<const EpsAugmentedMaps>(instance.segment_cells,
+                                                    0.002);
+  QueryEngineOptions options;
+  options.num_threads = 2;
+  obs::MetricsSnapshot before = obs::Registry::Global().Snapshot();
+  QueryEngine engine(instance.network, instance.grid, instance.global_index,
+                     instance.segment_cells, options, {a, b});
+  std::vector<SoiQuery> batch = MakeBatch(49, 12);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    batch[i].eps = i % 2 == 0 ? 0.0008 : 0.002;
+  }
+  for (const Result<SoiResult>& result : engine.TryRunBatch(batch)) {
+    ASSERT_TRUE(result.ok());
+  }
+  obs::MetricsSnapshot delta =
+      obs::Registry::Global().Snapshot().Since(before);
+  EXPECT_EQ(engine.cache_stats().misses, 0);
+  EXPECT_EQ(delta.CounterOr0("soi.index.near_cells_builds"), 0);
 }
 
 TEST(QueryEngineTest, BatchCoalescesDuplicatesBitIdentically) {
