@@ -13,7 +13,6 @@ CellBoundsCalculator::CellBoundsCalculator(const StreetPhotos& street_photos,
   const std::vector<CellId>& cells = index.non_empty_cells();
   spatial_rel_.resize(cells.size());
   textual_rel_.resize(cells.size());
-  cell_slot_.reserve(cells.size());
 
   double inv_total = 1.0 / static_cast<double>(street_photos.size());
   const TermVector& terms = street_photos.street_terms;
@@ -21,7 +20,6 @@ CellBoundsCalculator::CellBoundsCalculator(const StreetPhotos& street_photos,
 
   for (size_t slot = 0; slot < cells.size(); ++slot) {
     CellId cell = cells[slot];
-    cell_slot_[cell] = slot;
     const PhotoGridIndex::Cell* bucket = index.FindCell(cell);
     SOI_DCHECK(bucket != nullptr);
 
@@ -58,16 +56,19 @@ CellBoundsCalculator::CellBoundsCalculator(const StreetPhotos& street_photos,
   }
 }
 
+size_t CellBoundsCalculator::Slot(CellId cell) const {
+  const std::vector<CellId>& cells = index_->non_empty_cells();
+  auto it = std::lower_bound(cells.begin(), cells.end(), cell);
+  SOI_DCHECK(it != cells.end() && *it == cell);
+  return static_cast<size_t>(it - cells.begin());
+}
+
 Bounds CellBoundsCalculator::SpatialRel(CellId cell) const {
-  auto it = cell_slot_.find(cell);
-  SOI_DCHECK(it != cell_slot_.end());
-  return spatial_rel_[it->second];
+  return spatial_rel_[Slot(cell)];
 }
 
 Bounds CellBoundsCalculator::TextualRel(CellId cell) const {
-  auto it = cell_slot_.find(cell);
-  SOI_DCHECK(it != cell_slot_.end());
-  return textual_rel_[it->second];
+  return textual_rel_[Slot(cell)];
 }
 
 Bounds CellBoundsCalculator::SpatialDiv(CellId cell, PhotoId r) const {
@@ -181,9 +182,9 @@ Bounds CellBoundsCalculator::CombinedDiv(CellId cell, PhotoId r,
   return div;
 }
 
-Bounds CellBoundsCalculator::MmrWithVisual(
-    CellId cell, const std::vector<PhotoId>& selected,
-    const DiversifyParams& params) const {
+Bounds CellBoundsCalculator::Mmr(CellId cell,
+                                 const std::vector<PhotoId>& selected,
+                                 const DiversifyParams& params) const {
   Bounds rel = CombinedRel(cell, params);
   double rel_factor = 1.0 - params.lambda;
   Bounds mmr{rel_factor * rel.lower, rel_factor * rel.upper};
@@ -198,39 +199,6 @@ Bounds CellBoundsCalculator::MmrWithVisual(
     double div_factor = params.lambda / static_cast<double>(params.k - 1);
     mmr.lower += div_factor * lower_sum;
     mmr.upper += div_factor * upper_sum;
-  }
-  return mmr;
-}
-
-Bounds CellBoundsCalculator::Mmr(CellId cell,
-                                 const std::vector<PhotoId>& selected,
-                                 const DiversifyParams& params) const {
-  Bounds srel = SpatialRel(cell);
-  Bounds trel = TextualRel(cell);
-  double rel_factor = 1.0 - params.lambda;
-  Bounds mmr;
-  mmr.lower = rel_factor * (params.w * srel.lower +
-                            (1.0 - params.w) * trel.lower);
-  mmr.upper = rel_factor * (params.w * srel.upper +
-                            (1.0 - params.w) * trel.upper);
-  if (params.k > 1 && !selected.empty()) {
-    double sdiv_lower = 0.0;
-    double sdiv_upper = 0.0;
-    double tdiv_lower = 0.0;
-    double tdiv_upper = 0.0;
-    for (PhotoId r : selected) {
-      Bounds sdiv = SpatialDiv(cell, r);
-      Bounds tdiv = TextualDiv(cell, r);
-      sdiv_lower += sdiv.lower;
-      sdiv_upper += sdiv.upper;
-      tdiv_lower += tdiv.lower;
-      tdiv_upper += tdiv.upper;
-    }
-    double div_factor = params.lambda / static_cast<double>(params.k - 1);
-    mmr.lower += div_factor * (params.w * sdiv_lower +
-                               (1.0 - params.w) * tdiv_lower);
-    mmr.upper += div_factor * (params.w * sdiv_upper +
-                               (1.0 - params.w) * tdiv_upper);
   }
   return mmr;
 }

@@ -29,6 +29,10 @@ class CellBoundsCalculator {
 
   const PhotoGridIndex& index() const { return *index_; }
 
+  /// Position of `cell` in index().non_empty_cells(), the order of the
+  /// per-cell arrays here and in the selectors. Requires a non-empty cell.
+  size_t Slot(CellId cell) const;
+
   /// Equations 11-12: bounds on spatial_rel(r) for any r in the cell.
   Bounds SpatialRel(CellId cell) const;
 
@@ -58,13 +62,10 @@ class CellBoundsCalculator {
                      const DiversifyParams& params) const;
 
   /// Bounds on mmr(r') of Eq. 10 for any r' in the cell, given the
-  /// currently selected photos.
+  /// currently selected photos, under the full parameter set (visual
+  /// extension included).
   Bounds Mmr(CellId cell, const std::vector<PhotoId>& selected,
              const DiversifyParams& params) const;
-
-  /// Visual-aware variant of Mmr (equal when params.visual_weight is 0).
-  Bounds MmrWithVisual(CellId cell, const std::vector<PhotoId>& selected,
-                       const DiversifyParams& params) const;
 
  private:
   const StreetPhotos* street_photos_;
@@ -73,8 +74,6 @@ class CellBoundsCalculator {
   // index.non_empty_cells()).
   std::vector<Bounds> spatial_rel_;
   std::vector<Bounds> textual_rel_;
-  // Maps CellId to its position in non_empty_cells().
-  std::unordered_map<CellId, size_t> cell_slot_;
 };
 
 }  // namespace soi

@@ -4,7 +4,9 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/csr.h"
 #include "core/street_photos.h"
+#include "geometry/point.h"
 #include "objects/photo.h"
 
 namespace soi {
@@ -38,8 +40,9 @@ struct DiversifyParams {
 class PhotoScorer {
  public:
   /// Precomputes per-photo spatial relevance (neighborhood counts within
-  /// `rho`, Definition 4) and textual relevance (Definition 6). Requires a
-  /// non-empty R_s and rho > 0.
+  /// `rho`, Definition 4) and textual relevance (Definition 6), and copies
+  /// the positions and keyword ids the pairwise measures read into flat
+  /// columns. Requires a non-empty R_s and rho > 0.
   PhotoScorer(const StreetPhotos& street_photos, double rho);
 
   const StreetPhotos& street_photos() const { return *street_photos_; }
@@ -141,6 +144,10 @@ class PhotoScorer {
  private:
   const StreetPhotos* street_photos_;
   double rho_;
+  // Columns of R_s in local photo-id order, so SpatialDiv and TextualDiv
+  // read two flat arrays instead of scattered Photo objects.
+  std::vector<Point> positions_;
+  CsrArray<KeywordId> keywords_;
   std::vector<double> spatial_rel_;
   std::vector<double> textual_rel_;
   // Visual extension (empty when photos carry no descriptors).

@@ -1,7 +1,6 @@
 #include "core/diversify/st_rel_div.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "common/check.h"
 #include "common/stopwatch.h"
@@ -42,13 +41,13 @@ DiversifyResult StRelDivSelect(const PhotoScorer& scorer,
   // Cells whose photos are all selected must not contribute to the filter
   // threshold (their bound guarantees would be vacuous for candidates).
   const std::vector<CellId>& cells = index.non_empty_cells();
-  std::unordered_map<CellId, size_t> cell_slot;
-  cell_slot.reserve(cells.size());
   std::vector<int64_t> remaining(cells.size());
   std::vector<CellDivSums> div_sums(cells.size());
+  // Relevance bounds do not depend on the selection: one lookup per cell.
+  std::vector<Bounds> rel_bounds(cells.size());
   for (size_t slot = 0; slot < cells.size(); ++slot) {
-    cell_slot[cells[slot]] = slot;
     remaining[slot] = index.NumPhotosInCell(cells[slot]);
+    rel_bounds[slot] = bounds.CombinedRel(cells[slot], params);
   }
 
   // Exact per-photo mmr bookkeeping: div_sum[r] accumulates
@@ -87,8 +86,7 @@ DiversifyResult StRelDivSelect(const PhotoScorer& scorer,
     bool have_selection = !result.selected.empty();
     for (size_t slot = 0; slot < cells.size(); ++slot) {
       if (remaining[slot] == 0) continue;
-      Bounds rel = bounds.CombinedRel(cells[slot], params);
-      double lower = rel_factor * rel.lower;
+      double lower = rel_factor * rel_bounds[slot].lower;
       if (have_selection) lower += div_factor * div_sums[slot].lower;
       if (!have_min || lower > mmr_min) {
         mmr_min = lower;
@@ -100,8 +98,7 @@ DiversifyResult StRelDivSelect(const PhotoScorer& scorer,
     surviving.clear();
     for (size_t slot = 0; slot < cells.size(); ++slot) {
       if (remaining[slot] == 0) continue;
-      Bounds rel = bounds.CombinedRel(cells[slot], params);
-      double upper = rel_factor * rel.upper;
+      double upper = rel_factor * rel_bounds[slot].upper;
       if (have_selection) upper += div_factor * div_sums[slot].upper;
       if (upper >= mmr_min) {
         surviving.push_back(CellCandidate{cells[slot], upper});
@@ -142,7 +139,7 @@ DiversifyResult StRelDivSelect(const PhotoScorer& scorer,
     }
     SOI_DCHECK(next_photo >= 0);
     taken[static_cast<size_t>(next_photo)] = 1;
-    size_t chosen_slot = cell_slot.at(index.geometry().CellOf(
+    size_t chosen_slot = bounds.Slot(index.geometry().CellOf(
         scorer.street_photos()
             .photos[static_cast<size_t>(next_photo)]
             .position));

@@ -17,29 +17,27 @@ bool KeywordSet::Contains(KeywordId id) const {
 }
 
 bool KeywordSet::IntersectsAny(const KeywordSet& other) const {
-  size_t i = 0;
-  size_t j = 0;
-  while (i < ids_.size() && j < other.ids_.size()) {
-    if (ids_[i] == other.ids_[j]) return true;
-    if (ids_[i] < other.ids_[j]) {
-      ++i;
-    } else {
-      ++j;
-    }
-  }
-  return false;
+  return IntersectionSize(other) > 0;
 }
 
 int64_t KeywordSet::IntersectionSize(const KeywordSet& other) const {
+  return soi::IntersectionSize(ids_, other.ids_);
+}
+
+double KeywordSet::JaccardDistance(const KeywordSet& other) const {
+  return soi::JaccardDistance(ids_, other.ids_);
+}
+
+int64_t IntersectionSize(Span<KeywordId> a, Span<KeywordId> b) {
   size_t i = 0;
   size_t j = 0;
   int64_t count = 0;
-  while (i < ids_.size() && j < other.ids_.size()) {
-    if (ids_[i] == other.ids_[j]) {
+  while (i < a.size() && j < b.size()) {
+    if (a[i] == b[j]) {
       ++count;
       ++i;
       ++j;
-    } else if (ids_[i] < other.ids_[j]) {
+    } else if (a[i] < b[j]) {
       ++i;
     } else {
       ++j;
@@ -48,14 +46,11 @@ int64_t KeywordSet::IntersectionSize(const KeywordSet& other) const {
   return count;
 }
 
-int64_t KeywordSet::UnionSize(const KeywordSet& other) const {
-  return size() + other.size() - IntersectionSize(other);
-}
-
-double KeywordSet::JaccardDistance(const KeywordSet& other) const {
-  int64_t union_size = UnionSize(other);
+double JaccardDistance(Span<KeywordId> a, Span<KeywordId> b) {
+  int64_t intersection_size = IntersectionSize(a, b);
+  int64_t union_size = static_cast<int64_t>(a.size() + b.size()) -
+                       intersection_size;
   if (union_size == 0) return 0.0;
-  int64_t intersection_size = IntersectionSize(other);
   return 1.0 - static_cast<double>(intersection_size) /
                    static_cast<double>(union_size);
 }

@@ -5,6 +5,7 @@
 #include <initializer_list>
 #include <vector>
 
+#include "common/span.h"
 #include "text/vocabulary.h"
 
 namespace soi {
@@ -36,9 +37,6 @@ class KeywordSet {
   /// |this intersect other|.
   int64_t IntersectionSize(const KeywordSet& other) const;
 
-  /// |this union other|.
-  int64_t UnionSize(const KeywordSet& other) const;
-
   /// Jaccard distance 1 - |A^B|/|AvB| (Definition 7). Two empty sets have
   /// distance 0.
   double JaccardDistance(const KeywordSet& other) const;
@@ -50,6 +48,15 @@ class KeywordSet {
  private:
   std::vector<KeywordId> ids_;
 };
+
+/// |A intersect B| of two ascending, duplicate-free id runs: the one merge
+/// loop behind every keyword-set intersection.
+int64_t IntersectionSize(Span<KeywordId> a, Span<KeywordId> b);
+
+/// Jaccard distance 1 - |A^B|/|AvB| (Definition 7) of two ascending,
+/// duplicate-free id runs, from one merge: |AvB| = |A| + |B| - |A^B|. Two
+/// empty runs have distance 0.
+double JaccardDistance(Span<KeywordId> a, Span<KeywordId> b);
 
 }  // namespace soi
 

@@ -1,3 +1,5 @@
+#include <algorithm>
+#include <iterator>
 #include <vector>
 
 #include "common/random.h"
@@ -5,6 +7,7 @@
 #include "core/diversify/objective.h"
 #include "core/diversify/st_rel_div.h"
 #include "core/street_photos.h"
+#include "datagen/dataset.h"
 #include "gtest/gtest.h"
 #include "network/network_builder.h"
 #include "test_util.h"
@@ -66,6 +69,107 @@ INSTANTIATE_TEST_SUITE_P(
                                          uint64_t{3}),
                        ::testing::Values(0.0, 0.5, 1.0),
                        ::testing::Values(0.0, 0.5, 1.0)));
+
+// F of Eq. 2 recomputed from Definitions 4-7 and Eqs. 4-5 alone, with
+// the scorer's order of floating-point operations, so equality is bitwise.
+// `counts` are the brute-force neighbour counts of Definition 4.
+double BruteForceObjective(const StreetPhotos& sp,
+                           const std::vector<int64_t>& counts,
+                           const std::vector<PhotoId>& set,
+                           const DiversifyParams& params) {
+  double inv_total = 1.0 / static_cast<double>(sp.size());
+  double norm = sp.street_terms.L1Norm();
+  double inv_norm = norm > 0 ? 1.0 / norm : 0.0;
+  double w = params.w;
+  double spatial = 0.0;
+  double textual = 0.0;
+  for (PhotoId r : set) {
+    const Photo& photo = sp.photos[static_cast<size_t>(r)];
+    spatial += static_cast<double>(counts[static_cast<size_t>(r)]) * inv_total;
+    textual += sp.street_terms.WeightOf(photo.keywords) * inv_norm;
+  }
+  double inv_k = 1.0 / static_cast<double>(set.size());
+  double rel = w * inv_k * spatial + (1.0 - w) * inv_k * textual;
+
+  double div = 0.0;
+  size_t k = set.size();
+  if (k >= 2) {
+    spatial = 0.0;
+    textual = 0.0;
+    for (size_t i = 0; i < k; ++i) {
+      const Photo& a = sp.photos[static_cast<size_t>(set[i])];
+      for (size_t j = i + 1; j < k; ++j) {
+        const Photo& b = sp.photos[static_cast<size_t>(set[j])];
+        spatial += a.position.DistanceTo(b.position) / sp.max_distance;
+        std::vector<KeywordId> common;
+        std::set_intersection(a.keywords.ids().begin(), a.keywords.ids().end(),
+                              b.keywords.ids().begin(), b.keywords.ids().end(),
+                              std::back_inserter(common));
+        int64_t intersection = static_cast<int64_t>(common.size());
+        int64_t union_size =
+            a.keywords.size() + b.keywords.size() - intersection;
+        textual += union_size == 0
+                       ? 0.0
+                       : 1.0 - static_cast<double>(intersection) /
+                                   static_cast<double>(union_size);
+      }
+    }
+    double inv_pairs = 2.0 / (static_cast<double>(k) * (k - 1));
+    div = w * inv_pairs * spatial + (1.0 - w) * inv_pairs * textual;
+  }
+  return (1.0 - params.lambda) * rel + params.lambda * div;
+}
+
+// The differential gate of the scorer: on every street of seeded tiny
+// cities, spatial relevance is the brute-force count bit for bit,
+// ST_Rel+Div selects what the greedy baseline selects, and the objective
+// is the brute-force recomputation bit for bit. (describe's run-time check
+// compares two selectors sharing one scorer, so it cannot see a scorer
+// fault.)
+class TinyCitySweep : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(TinyCitySweep, ScorerAndSelectionMatchBruteForce) {
+  Dataset dataset =
+      GenerateCity(testing_util::TinyCityProfile(GetParam())).ValueOrDie();
+  DiversifyParams params;
+  params.k = 20;
+  params.lambda = 0.5;
+  params.w = 0.5;
+  params.rho = 0.0001;
+  int64_t described = 0;
+  for (StreetId street = 0; street < dataset.network.num_streets();
+       ++street) {
+    StreetPhotos sp = ExtractStreetPhotosBruteForce(
+        dataset.network, street, dataset.photos, 0.0005);
+    if (sp.size() == 0) continue;
+    ++described;
+    PhotoScorer scorer(sp, params.rho);
+    std::vector<int64_t> counts =
+        testing_util::BruteForceNeighborCounts(sp, params.rho);
+    double inv_total = 1.0 / static_cast<double>(sp.size());
+    for (PhotoId r = 0; r < sp.size(); ++r) {
+      ASSERT_EQ(testing_util::BitsOf(scorer.SpatialRel(r)),
+                testing_util::BitsOf(
+                    static_cast<double>(counts[static_cast<size_t>(r)]) *
+                    inv_total))
+          << "street " << street << " photo " << r;
+    }
+    PhotoGridIndex index(params.rho / 2, sp.photos);
+    CellBoundsCalculator bounds(sp, index);
+    DiversifyResult fast = StRelDivSelect(scorer, bounds, params);
+    DiversifyResult baseline = GreedyBaselineSelect(scorer, params);
+    ASSERT_EQ(fast.selected, baseline.selected) << "street " << street;
+    EXPECT_EQ(testing_util::BitsOf(scorer.Objective(fast.selected, params)),
+              testing_util::BitsOf(
+                  BruteForceObjective(sp, counts, fast.selected, params)))
+        << "street " << street;
+  }
+  EXPECT_GT(described, 10);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, TinyCitySweep,
+                         ::testing::Values(uint64_t{1}, uint64_t{2},
+                                           uint64_t{3}));
 
 TEST(StRelDivTest, KLargerThanPhotosSelectsAll) {
   Fixture fx(9, 80);

@@ -1,11 +1,14 @@
 #ifndef SOI_TESTS_TEST_UTIL_H_
 #define SOI_TESTS_TEST_UTIL_H_
 
+#include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
 #include "common/check.h"
 #include "common/random.h"
+#include "core/street_photos.h"
 #include "datagen/city_profile.h"
 #include "network/network_builder.h"
 #include "network/road_network.h"
@@ -123,6 +126,29 @@ inline std::vector<Photo> RandomPhotos(const Box& bounds, int64_t n,
 
 /// A down-scaled city profile that generates in milliseconds; used by the
 /// property-test sweeps.
+/// The bits of `v`, for comparisons that must be exact (EXPECT_DOUBLE_EQ
+/// allows a 4-ulp difference).
+inline uint64_t BitsOf(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+/// Definition 4's neighbour counts by the O(n^2) scan: for each photo r of
+/// R_s, the photos r' (r itself included) with r.DistanceTo(r') <= rho.
+inline std::vector<int64_t> BruteForceNeighborCounts(const StreetPhotos& sp,
+                                                     double rho) {
+  std::vector<int64_t> counts(sp.photos.size(), 0);
+  for (size_t i = 0; i < sp.photos.size(); ++i) {
+    for (const Photo& other : sp.photos) {
+      if (sp.photos[i].position.DistanceTo(other.position) <= rho) {
+        ++counts[i];
+      }
+    }
+  }
+  return counts;
+}
+
 inline CityProfile TinyCityProfile(uint64_t seed) {
   CityProfile profile;
   profile.name = "Tinytown";

@@ -149,7 +149,7 @@ TEST_P(VisualBoundsProperty, VisualAwareMmrBoundsContainExact) {
           static_cast<PhotoId>(rng.UniformInt(0, world.sp.size() - 1)));
     }
     for (CellId cell : index.non_empty_cells()) {
-      Bounds mmr = bounds.MmrWithVisual(cell, selected, params);
+      Bounds mmr = bounds.Mmr(cell, selected, params);
       for (PhotoId r : index.FindCell(cell)->photos) {
         double exact = scorer.Mmr(r, selected, params);
         EXPECT_GE(exact, mmr.lower - 1e-9);
